@@ -223,12 +223,13 @@ def ft_accepts(
     (:func:`~repro.core.profiles.lo_safe_at`).  Lemmas 3.3/3.4 make
     ``pfh(LO)`` non-increasing in ``n'``, so the safe candidates of line 4
     form a suffix of ``1..n_HI`` and ``n1_HI <= n2_HI`` holds iff
-    ``n2_HI`` itself is safe.  That replaces line 4's scan with at most
-    one eq. (5)/(7) evaluation per set, made only for sets line 8
-    accepts, and skips the lines 9-15 finalisation.
+    ``n2_HI`` itself is safe.  That replaces line 4's scan with one
+    test per set, made only for sets line 8 accepts (under ``kill``
+    usually answered by eq. (5)'s bounds, without an evaluation), and
+    skips the lines 9-15 finalisation.
 
-    The test evaluates pfh(LO) on the active kernel tier, as line 4's scan
-    does, so the verdict equals :func:`ft_schedule`'s on every tier.
+    The test is line 4's own (:meth:`~repro.core.profiles.LoPfh.safe`),
+    so the verdict equals :func:`ft_schedule`'s on every tier.
     Exceptions may differ: a backend that rejects the input at line 8
     (EDF-VD on constrained deadlines) raises here even for a set that
     :func:`ft_schedule` would have rejected at line 5 first.

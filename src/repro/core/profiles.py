@@ -26,7 +26,7 @@ from repro.model.criticality import CriticalityRole
 from repro.model.faults import AdaptationProfile, ReexecutionProfile
 from repro.model.task import TaskSet
 from repro.safety.degradation import pfh_lo_degradation
-from repro.safety.killing import pfh_lo_killing
+from repro.safety.killing import pfh_lo_killing, pfh_lo_killing_bounds
 from repro.safety.pfh import DEFAULT_MAX_REEXECUTIONS, minimal_uniform_reexecution
 
 __all__ = [
@@ -38,6 +38,14 @@ __all__ = [
     "minimal_adaptation_profile",
     "maximal_adaptation_profile",
 ]
+
+#: Relative margin by which ``PFH_LO`` must clear eq. (5)'s bounds
+#: (:func:`~repro.safety.killing.pfh_lo_killing_bounds`) before line 4
+#: decides from them.  It sits far above the float error of the bounds and
+#: of the evaluators (<= 1e-12 relative), so a verdict from the bounds is
+#: the verdict the value gives; the bounds are ~1e-4 relative wide, so
+#: almost no candidate falls inside it.
+_BOUNDS_MARGIN: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,11 @@ class LoPfh:
     mechanism and the mission, and keeps each ``pfh(LO)`` value it
     computes, so line 4's scan (:meth:`minimal_safe`) and the
     adopted-profile value that lines 9-15 report evaluate each candidate
-    ``n'`` once.  :func:`~repro.core.ftmc.ft_schedule` and
+    ``n'`` once.  Under ``kill`` line 4's test mostly needs no value at
+    all: :meth:`safe` decides from eq. (5)'s closed-form bounds, and the
+    breakpoint form runs only for a value that is reported
+    (:meth:`__call__`) or a candidate whose bounds straddle ``PFH_LO``.
+    :func:`~repro.core.ftmc.ft_schedule` and
     :func:`~repro.planner.ftmp.ft_schedule_partitioned` build one per run,
     so no value outlives the run that asked for it.
     """
@@ -105,6 +117,12 @@ class LoPfh:
         self.assume_full_wcet = assume_full_wcet
         self._values: dict[int, float] = {}
 
+    def _profiles(self, n_prime: int) -> tuple[ReexecutionProfile, AdaptationProfile]:
+        return (
+            ReexecutionProfile.uniform(self.taskset, self.n_hi, self.n_lo),
+            AdaptationProfile.uniform(self.taskset, n_prime),
+        )
+
     def __call__(self, n_prime: int) -> float:
         """``pfh(LO)`` at ``n'``: eq. (5) under ``kill``, eq. (7) under
         ``degrade``, each on the active kernel tier."""
@@ -120,8 +138,7 @@ class LoPfh:
                 )
             value = self._values[n_prime] = evaluate(
                 self.taskset,
-                ReexecutionProfile.uniform(self.taskset, self.n_hi, self.n_lo),
-                AdaptationProfile.uniform(self.taskset, n_prime),
+                *self._profiles(n_prime),
                 self.operation_hours,
                 self.assume_full_wcet,
             )
@@ -132,23 +149,38 @@ class LoPfh:
 
         Trivially true when the LO level carries no quantified requirement
         (DO-178B levels D/E) or has no tasks; the mechanism is then never
-        read.  The comparison is strict, as in line 4's infimum.
+        read.  The comparison is strict, as in line 4's infimum.  Under
+        ``kill``, a candidate with no value yet is answered from eq. (5)'s
+        bounds when ``PFH_LO`` clears them by :data:`_BOUNDS_MARGIN`; the
+        value is computed only otherwise, so the verdict is always the
+        value's.
         """
         spec = self.taskset.spec
         if spec is None:
             raise ValueError("task set has no dual-criticality spec attached")
         if not spec.lo_is_safety_related or not self.taskset.lo_tasks:
             return True
-        return self(n_prime) < spec.pfh_requirement(CriticalityRole.LO)
+        ceiling = spec.pfh_requirement(CriticalityRole.LO)
+        if self.mechanism == "kill" and n_prime not in self._values:
+            lower, upper = pfh_lo_killing_bounds(
+                self.taskset,
+                *self._profiles(n_prime),
+                self.operation_hours,
+                self.assume_full_wcet,
+            )
+            if upper * (1.0 + _BOUNDS_MARGIN) < ceiling:
+                return True
+            if lower * (1.0 - _BOUNDS_MARGIN) >= ceiling:
+                return False
+        return self(n_prime) < ceiling
 
     def minimal_safe(self) -> int | None:
         """Line 4: ``n1_HI = inf{n' in 1..n_HI : pfh(LO) < PFH_LO}``.
 
         Tests ``n' = n_HI`` first: Lemmas 3.3/3.4 make ``pfh(LO)``
         non-increasing in ``n'``, so when even the largest candidate
-        misses the ceiling the scan is FAILURE for one evaluation instead
-        of ``n_HI``, and a scan that succeeds gets that value back at its
-        last candidate.  Returns ``None`` for FAILURE (lines 5/6).
+        misses the ceiling the scan is FAILURE for one test instead of
+        ``n_HI``.  Returns ``None`` for FAILURE (lines 5/6).
         """
         if not self.safe(self.n_hi):
             return None

@@ -23,8 +23,9 @@ it violates the level-C ceiling; degradation still helps in (d); smaller
 
 FT-S runs here as the verdict-only :func:`~repro.core.ftmc.ft_accepts`
 on whichever kernel tier is active.  :func:`accept_in_paper_order` is
-its oracle: it runs the full :func:`~repro.core.ftmc.ft_schedule` per
-set, and the test suite pins :func:`fig3_point`'s rows against it.
+its oracle: it runs Algorithm 1's lines in the paper's order per set,
+with line 4 on exact pfh(LO) values, and the test suite pins
+:func:`fig3_point`'s rows against it.
 """
 
 from __future__ import annotations
@@ -40,12 +41,16 @@ from repro.core.backends import (
     EDFVDDegradationBackend,
     SchedulerBackend,
 )
-from repro.core.ftmc import ft_accepts, ft_schedule
-from repro.core.profiles import minimal_reexecution_profiles
+from repro.core.ftmc import ft_accepts
+from repro.core.profiles import (
+    LoPfh,
+    maximal_adaptation_profile,
+    minimal_reexecution_profiles,
+)
 from repro.experiments.ascii_chart import line_chart
 from repro.experiments.results import ExperimentResult
 from repro.gen.taskset import PAPER_CONFIG, GeneratorConfig, generate_taskset
-from repro.model.criticality import DualCriticalitySpec
+from repro.model.criticality import CriticalityRole, DualCriticalitySpec
 from repro.model.faults import ReexecutionProfile
 from repro.model.task import TaskSet
 from repro.obs import metrics as obs_metrics
@@ -143,21 +148,38 @@ def accept_in_paper_order(taskset: TaskSet, mechanism: str) -> tuple[bool, bool]
     """(baseline accepted, accepted with adaptation-if-needed), in paper order.
 
     The oracle for :func:`fig3_point`'s verdicts: line 2, the
-    no-adaptation baseline, and only where that fails the full
-    :func:`~repro.core.ftmc.ft_schedule` (line 4's scan before line 8).
+    no-adaptation baseline, and only where that fails Algorithm 1's
+    verdict as :func:`~repro.core.ftmc.ft_schedule` reaches it (line 4's
+    scan, testing ``n_HI`` first, before line 8), except that line 4
+    compares exact values, ``pfh(LO) < PFH_LO``, where
+    :meth:`~repro.core.profiles.LoPfh.safe` may decide from eq. (5)'s
+    bounds; so the oracle shares no bound with what it checks.
     ``ftmc bench`` times it on the scalar tier as the reference of its
     ``fig3_point`` pair.
     """
     profiles = minimal_reexecution_profiles(taskset)
     if profiles is None:
         return False, False
-    reexecution = ReexecutionProfile.uniform(taskset, profiles.n_hi, profiles.n_lo)
+    n_hi, n_lo = profiles.n_hi, profiles.n_lo
+    reexecution = ReexecutionProfile.uniform(taskset, n_hi, n_lo)
     if schedulable_without_adaptation(taskset, reexecution):
         return True, True
-    fts = ft_schedule(
-        taskset, _backend(mechanism), operation_hours=FIG3_OPERATION_HOURS
-    )
-    return False, fts.success
+    spec = taskset.spec
+    assert spec is not None  # line 2 has read its ceilings
+    lo_pfh = LoPfh(taskset, n_hi, n_lo, mechanism, FIG3_OPERATION_HOURS)
+
+    def safe(n_prime: int) -> bool:
+        return (
+            not spec.lo_is_safety_related
+            or not taskset.lo_tasks
+            or lo_pfh(n_prime) < spec.pfh_requirement(CriticalityRole.LO)
+        )
+
+    if not safe(n_hi):
+        return False, False
+    n1 = next(n_prime for n_prime in range(1, n_hi + 1) if safe(n_prime))
+    n2 = maximal_adaptation_profile(taskset, n_hi, n_lo, _backend(mechanism))
+    return False, n2 is not None and n1 <= n2
 
 
 def fig3_point(
@@ -180,11 +202,12 @@ def fig3_point(
     then the no-adaptation baseline on the ``n_i``-inflated workload, and
     only where that fails the verdict-only
     :func:`~repro.core.ftmc.ft_accepts` with the line-2 profiles already
-    in hand: line 8 first, then at most one pfh(LO) evaluation at its
-    ``n2_HI``.  No verdict is memoized: a sweep never asks the same
-    question twice.  The point's sets are generated, and line 2 runs over
-    all of them, before the per-set baseline and FT-S: interleaving the
-    three stages per set made a Fig. 3 grid pass ~12% slower.
+    in hand: line 8 first, then line 4's test at its ``n2_HI`` alone
+    (under ``kill``, eq. (5)'s bounds).  No verdict is memoized: a sweep
+    never asks the same question twice.  The point's sets are generated,
+    and line 2 runs over all of them, before the per-set baseline and
+    FT-S: interleaving the three stages per set made a Fig. 3 grid pass
+    ~12% slower.
     """
     backend = _backend(panel.mechanism)
     baseline_ok = 0

@@ -14,6 +14,7 @@ from repro.safety.degradation import (
 from repro.safety.killing import (
     kill_probability,
     pfh_lo_killing,
+    pfh_lo_killing_bounds,
     pfh_lo_killing_reference,
     survival_probability,
     survival_probability_at,
@@ -41,6 +42,7 @@ __all__ = [
     "pfh_lo_degradation_scenario",
     "kill_probability",
     "pfh_lo_killing",
+    "pfh_lo_killing_bounds",
     "pfh_lo_killing_reference",
     "survival_probability",
     "survival_probability_at",

@@ -29,7 +29,7 @@ from repro.model.faults import (
     round_failure_probability,
 )
 from repro.model.task import HOUR_MS, TaskSet
-from repro.safety.killing import survival_probability
+from repro.safety.killing import check_operation_hours, survival_probability
 from repro.safety.pfh import max_rounds
 
 __all__ = [
@@ -85,8 +85,7 @@ def pfh_lo_degradation(
     of eq. (2), because ``1 - R <= 1`` — degradation can only *improve* LO
     safety relative to doing nothing (Section 3.4, closing remark).
     """
-    if operation_hours <= 0:
-        raise ValueError(f"operation hours must be positive, got {operation_hours}")
+    check_operation_hours(operation_hours)
     adaptation.validate_for(taskset, reexecution)
     horizon = operation_hours * HOUR_MS
     trigger = 1.0 - survival_probability(
@@ -113,8 +112,7 @@ def pfh_lo_degradation_scenario(
     The proof of Lemma 3.4 shows this is maximised at ``t0 = t``, where it
     collapses to eq. (7); the property is exercised by the test suite.
     """
-    if operation_hours <= 0:
-        raise ValueError(f"operation hours must be positive, got {operation_hours}")
+    check_operation_hours(operation_hours)
     horizon = operation_hours * HOUR_MS
     if not 0.0 <= trigger_time <= horizon:
         raise ValueError(

@@ -30,6 +30,10 @@ factors are accumulated in log space via ``log1p``.  Each
 per-round bound ``1 - R(alpha) * (1 - f^n)`` is the tiny difference of two
 numbers near 1.0, so every evaluator assembles it cancellation-free as
 ``f^n + (1 - f^n) * (-expm1(log R(alpha)))``, from ``log R`` directly.
+
+A caller that only compares eq. (5) with a ceiling can first ask
+:func:`pfh_lo_killing_bounds`, which brackets the value in O(HI + LO
+tasks) without visiting a breakpoint or a timing point.
 """
 
 from __future__ import annotations
@@ -55,7 +59,17 @@ __all__ = [
     "timing_points",
     "timing_point_count",
     "pfh_lo_killing",
+    "pfh_lo_killing_bounds",
 ]
+
+
+def check_operation_hours(operation_hours: float) -> None:
+    """Refuse a mission ``OS`` that is not a positive, finite number of hours."""
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not 0.0 < operation_hours < math.inf:
+        raise ValueError(
+            f"operation hours must be positive and finite, got {operation_hours}"
+        )
 
 
 def _hi_arrays(
@@ -139,8 +153,16 @@ def kill_probability(
     horizon: float,
     assume_full_wcet: bool = True,
 ) -> float:
-    """Upper bound ``1 - R(N'_HI, t)`` on the LO tasks being killed by ``t``."""
-    return 1.0 - survival_probability(taskset, adaptation, horizon, assume_full_wcet)
+    """Upper bound ``1 - R(N'_HI, t)`` on the LO tasks being killed by ``t``.
+
+    Taken as ``-expm1(log R)``: ``1 - R`` cancels when ``R`` is near 1.
+    """
+    if horizon < 0:
+        raise ValueError("horizons must be non-negative")
+    log_r = _log_survival_at(
+        taskset, adaptation, np.array([float(horizon)]), assume_full_wcet
+    )
+    return -math.expm1(float(log_r[0]))
 
 
 def timing_points(
@@ -445,8 +467,7 @@ def pfh_lo_killing(
     The PFH of the HI level is *unaffected* by killing (HI tasks are never
     killed) and remains eq. (2); use :func:`repro.safety.pfh.pfh_plain`.
     """
-    if operation_hours <= 0:
-        raise ValueError(f"operation hours must be positive, got {operation_hours}")
+    check_operation_hours(operation_hours)
     adaptation.validate_for(taskset, reexecution)
     if not kernels.numpy_enabled():
         return pfh_lo_killing_reference(
@@ -473,8 +494,7 @@ def pfh_lo_killing_reference(
     :func:`math.fsum`.  Orders of magnitude slower — do not use in
     experiments.
     """
-    if operation_hours <= 0:
-        raise ValueError(f"operation hours must be positive, got {operation_hours}")
+    check_operation_hours(operation_hours)
     horizon = operation_hours * HOUR_MS
     hi_factors = [
         (
@@ -526,3 +546,179 @@ def _log_survival_scalar(
 
 
 __all__.append("pfh_lo_killing_reference")
+
+
+#: Slack, in rounds, around ``x = (alpha - n'_h C_h)/T_h`` in the bounds'
+#: rounds ``r_h(alpha)``: it covers eq. (1)'s floor epsilon (1e-9) and the
+#: float noise of the quotient the evaluators floor (~1e-16 x, under 1e-8
+#: even for 1-ms periods over 10 h), and widens each bound by a millionth
+#: of a round per HI task.
+_ROUNDS_SLACK: float = 1e-6
+
+#: Largest ``y = -log R(alpha)`` on a LO task's grid for which the kill
+#: terms ``1 - e^{-y}`` are summed through truncated series.  Above it the
+#: geometric closed form ``M - sum e^{-y}`` is used instead: its
+#: cancellation then costs at most ~1e-13 relative, and below it the
+#: series are tighter than 1e-7 relative.
+_SERIES_LIMIT: float = 1e-2
+
+#: Truncations of ``1 - e^{-y} = y - y^2/2 + y^3/6 - ...`` that bound it
+#: from below and from above for every ``y >= 0`` (alternating Taylor
+#: remainders), as coefficients of ``y, y^2, ...``.
+_SERIES_BELOW = (1.0, -1.0 / 2.0, 1.0 / 6.0, -1.0 / 24.0)
+_SERIES_ABOVE = (1.0, -1.0 / 2.0, 1.0 / 6.0)
+
+
+def _grid_kill(first: float, step: float, count: int, series: tuple) -> float:
+    """``sum_{j<count} (1 - e^{-(first + j*step)})`` for ``first, step >= 0``.
+
+    While every exponent stays at most :data:`_SERIES_LIMIT` the sum runs
+    through ``series``, a bounding truncation of ``1 - e^{-y}``, using the
+    closed power sums of ``j``; every power sum is a sum of non-negative
+    terms, so nothing cancels however small the kill terms are beside
+    ``count``.  Otherwise it is the exact geometric closed form.
+    """
+    if count <= 0:
+        return 0.0
+    if first + step * (count - 1) > _SERIES_LIMIT:
+        if step > 0.0:
+            tail = math.exp(-first) * math.expm1(-step * count) / math.expm1(-step)
+        else:
+            tail = count * math.exp(-first)
+        return count - tail
+    # s_i = sum_{j=0}^{count-1} j^i, and moment k = sum_j (first + j*step)^k
+    # expanded binomially.
+    last = count - 1
+    s1 = last * (last + 1) / 2.0
+    s2 = s1 * (2 * last + 1) / 3.0
+    s3 = s1 * s1
+    s4 = s2 * (3 * last * last + 3 * last - 1) / 5.0
+    a, b = first, step
+    moments = (
+        a * count + b * s1,
+        a * a * count + 2.0 * a * b * s1 + b * b * s2,
+        a**3 * count + 3.0 * a * a * b * s1 + 3.0 * a * b * b * s2 + b**3 * s3,
+        a**4 * count + 4.0 * a**3 * b * s1 + 6.0 * a * a * b * b * s2
+        + 4.0 * a * b**3 * s3 + b**4 * s4,
+    )
+    return sum(c * moment for c, moment in zip(series, moments))
+
+
+def pfh_lo_killing_bounds(
+    taskset: TaskSet,
+    reexecution: ReexecutionProfile,
+    adaptation: AdaptationProfile,
+    operation_hours: float,
+    assume_full_wcet: bool = True,
+) -> tuple[float, float]:
+    """``(lower, upper)`` around eq. (5), in O(HI + LO tasks).
+
+    Both kernel tiers' values of :func:`pfh_lo_killing` (and
+    :func:`pfh_lo_killing_reference`) lie in the interval, which was
+    6e-6 to 2e-4 relative wide on the FMS and on generated sets.  Every evaluator's rounds
+    ``r_h(alpha)`` lie in ``[max(x, 0), max(x + 1, 0)]`` for
+    ``x = (alpha - n'_h C_h)/T_h`` (widened by :data:`_ROUNDS_SLACK`), so
+    ``-log R(alpha) = sum_h r_h(alpha) L_h``, with
+    ``L_h = -log(1 - f_h^{n'_h})``, lies between two lines in ``alpha``:
+
+    - below, ``sum_h L_h (x_h - slack)`` clipped at 0;
+    - above, ``sum_h L_h (x_h + 1 + slack)``, except that a HI task whose
+      setup ``n'_h C_h`` exceeds its period takes the chord of its
+      ``max(., 0)`` over ``[0, A]``, ``A`` the latest timing point.
+
+    Each LO task's timing points (eq. 4) form an arithmetic grid, so its
+    kill terms ``1 - e^{-y}`` sum in closed form along either line
+    (:func:`_grid_kill`), and the singleton ``t`` is taken from
+    ``r_h(t)`` exactly.  An arbitrary deadline (``D > T + n C``) puts
+    timing points after ``t``: the lower line stops there at the kill
+    term of ``t`` (the breakpoint form counts no HI round after the
+    mission), while the upper line runs on, as the scalar oracle does.
+    """
+    check_operation_hours(operation_hours)
+    adaptation.validate_for(taskset, reexecution)
+    horizon = operation_hours * HOUR_MS
+    hi_lines: list[tuple[float, float, float]] = []
+    log_survival = 0.0
+    for task in taskset.hi_tasks:
+        n_prime = adaptation[task]
+        log_success = math.log1p(
+            -round_failure_probability(task.failure_probability, n_prime)
+        )
+        log_survival += (
+            max_rounds(task, n_prime, horizon, assume_full_wcet) * log_success
+        )
+        setup = n_prime * task.wcet if assume_full_wcet else 0.0
+        hi_lines.append((-log_success, setup / task.period, task.period))
+    kill_at_horizon = -math.expm1(log_survival)
+
+    grids: list[tuple[float, float, int, float]] = []
+    latest = horizon
+    for task in taskset.lo_tasks:
+        n = reexecution[task]
+        count = timing_point_count(task, n, horizon, assume_full_wcet)
+        if count == 0:
+            continue
+        setup = n * task.wcet if assume_full_wcet else 0.0
+        # alpha_m = start - m*T for m = 1..count-1, plus alpha = horizon.
+        start = horizon - setup + task.deadline
+        grids.append((
+            start,
+            task.period,
+            count - 1,
+            round_failure_probability(task.failure_probability, n),
+        ))
+        if count > 1:
+            latest = max(latest, start - task.period)
+
+    # -log R(alpha) >= below_slope * alpha - below_offset, and
+    # -log R(alpha) <= above_slope * alpha + above_offset on [0, latest].
+    below_slope = math.fsum(weight / period for weight, _, period in hi_lines)
+    below_offset = math.fsum(
+        weight * (phase + _ROUNDS_SLACK) for weight, phase, _ in hi_lines
+    )
+    above_slope = 0.0
+    above_offset = 0.0
+    for weight, phase, period in hi_lines:
+        at_zero = 1.0 + _ROUNDS_SLACK - phase
+        if at_zero >= 0.0:
+            above_slope += weight / period
+            above_offset += weight * at_zero
+        else:
+            at_latest = latest / period + at_zero
+            if at_latest > 0.0:
+                above_slope += weight * at_latest / latest
+    crossing = below_offset / below_slope if below_slope > 0.0 else math.inf
+
+    lower_terms: list[float] = []
+    upper_terms: list[float] = []
+    for start, period, points, round_failure in grids:
+        success = 1.0 - round_failure
+        plain = (points + 1) * round_failure
+        upper_kill = _grid_kill(
+            above_slope * (start - points * period) + above_offset,
+            above_slope * period,
+            points,
+            _SERIES_ABOVE,
+        )
+        # Points after the horizon: m = 1..after.  Points with a positive
+        # lower line: m < (start - crossing)/T.
+        after = min(points, max(math.ceil((start - horizon) / period) - 1, 0))
+        positive = (
+            min(points, math.ceil((start - crossing) / period) - 1)
+            if crossing < start
+            else 0
+        )
+        lower_kill = after * kill_at_horizon
+        if positive > after:
+            lower_kill += _grid_kill(
+                max(below_slope * (start - positive * period) - below_offset, 0.0),
+                below_slope * period,
+                positive - after,
+                _SERIES_BELOW,
+            )
+        lower_terms += (plain, success * (kill_at_horizon + lower_kill))
+        upper_terms += (plain, success * (kill_at_horizon + upper_kill))
+    return (
+        math.fsum(lower_terms) / operation_hours,
+        math.fsum(upper_terms) / operation_hours,
+    )

@@ -4,11 +4,13 @@ Each regeneration case runs ``ftmc <artifact> --output-dir`` in-process
 and compares the CSV it writes with the committed one, so a change that
 moves an artifact byte fails here unless it updates ``results/`` too.
 Only the artifacts that regenerate in well under a second are pinned
-here; CI regenerates the Fig. 3 series, and :class:`TestFig3Claims`
-checks EXPERIMENTS.md's claims against them.
+here; CI regenerates the Fig. 3 series.  :class:`TestFmsSweepClaims` and
+:class:`TestFig3Claims` check EXPERIMENTS.md's claims against the
+committed Fig. 1/2 rows and Fig. 3 series.
 """
 
 import csv
+import math
 import os
 
 import pytest
@@ -29,6 +31,66 @@ def test_committed_csv_regenerates(artifact, tmp_path, capsys):
     with open(os.path.join(RESULTS, f"{artifact}.csv"), "rb") as handle:
         committed = handle.read()
     assert (tmp_path / f"{artifact}.csv").read_bytes() == committed
+
+
+def _fms_sweep(artifact: str) -> dict[int, dict[str, str]]:
+    """The committed Fig. 1 or Fig. 2 rows, keyed by ``n'``."""
+    with open(os.path.join(RESULTS, f"{artifact}.csv"), newline="") as handle:
+        return {int(row["n_prime"]): row for row in csv.DictReader(handle)}
+
+
+def _sweep_column(artifact: str, name: str) -> list[str]:
+    rows = _fms_sweep(artifact)
+    return [rows[n_prime][name] for n_prime in sorted(rows)]
+
+
+class TestFmsSweepClaims:
+    """EXPERIMENTS.md's Fig. 1 (killing) and Fig. 2 (degradation) claims.
+
+    :func:`test_committed_csv_regenerates` pins these rows; their ``safe``
+    column is line 4's verdict on the FMS at each ``n'``.
+    """
+
+    @pytest.mark.parametrize("artifact", ["fig1", "fig2"])
+    def test_u_mc_rises_with_n_prime(self, artifact):
+        u_mc = [float(value) for value in _sweep_column(artifact, "u_mc")]
+        assert all(a < b or a == b == math.inf for a, b in zip(u_mc, u_mc[1:]))
+
+    @pytest.mark.parametrize("artifact", ["fig1", "fig2"])
+    def test_schedulable_iff_n_prime_at_most_two(self, artifact):
+        rows = _fms_sweep(artifact)
+        assert {n: row["schedulable"] == "True" for n, row in rows.items()} == {
+            1: True, 2: True, 3: False, 4: False,
+        }
+
+    @pytest.mark.parametrize("artifact", ["fig1", "fig2"])
+    def test_pfh_lo_falls_with_n_prime(self, artifact):
+        pfh = [float(value) for value in _sweep_column(artifact, "pfh_lo")]
+        assert all(a > b for a, b in zip(pfh, pfh[1:]))
+
+    def test_killing_safe_iff_n_prime_at_least_three(self):
+        rows = _fms_sweep("fig1")
+        assert {n: row["safe"] == "True" for n, row in rows.items()} == {
+            1: False, 2: False, 3: True, 4: True,
+        }
+
+    def test_every_degradation_point_safe(self):
+        assert set(_sweep_column("fig2", "safe")) == {"True"}
+
+    @pytest.mark.parametrize(
+        "artifact, low, high", [("fig1", -1.0, 0.0), ("fig2", -12.0, -10.0)]
+    )
+    def test_order_of_magnitude_at_n_prime_two(self, artifact, low, high):
+        """Paper: 1e-1 under killing, 1e-11 under degradation."""
+        assert low <= float(_fms_sweep(artifact)[2]["log10_pfh_lo"]) <= high
+
+    def test_degradation_more_than_eight_orders_safer(self):
+        """The ~10-order gap of Section 5.1 (9.7 measured)."""
+        kill, degrade = (
+            float(_fms_sweep(artifact)[2]["log10_pfh_lo"])
+            for artifact in ("fig1", "fig2")
+        )
+        assert kill - degrade > 8.0
 
 
 #: ``results/fig3<panel>-f<f>.csv`` spells f = 1e-3 and 1e-5 as Python

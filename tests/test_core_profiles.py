@@ -102,8 +102,17 @@ class TestLoSafeAt:
         assert lo_safe_at(example31, 3, 1, 1, "pause", 10.0)
 
     def test_ceiling_is_strict(self, fms, monkeypatch):
-        """pfh(LO) exactly at PFH_LO is unsafe: line 4 demands ``<``."""
+        """pfh(LO) exactly at PFH_LO is unsafe: line 4 demands ``<``.
+
+        Bounds pinned at the ceiling cannot decide, so the test falls back
+        to the value, which sits exactly on the ceiling.
+        """
         ceiling = fms.spec.pfh_requirement(CriticalityRole.LO)
+        monkeypatch.setattr(
+            profiles_module,
+            "pfh_lo_killing_bounds",
+            lambda *args: (ceiling, ceiling),
+        )
         monkeypatch.setattr(
             profiles_module.LoPfh, "__call__", lambda self, n_prime: ceiling
         )
@@ -222,8 +231,11 @@ class TestPerRunReuse:
     """One FT-S run evaluates eq. (5) at each candidate n' at most once.
 
     On the lighter FMS below line 4 tests n' = 3 first, scans 1..3 and
-    line 8 adopts n2 = 3: the reported pfh(LO) must be the value line 4
-    already computed, not a second evaluation.
+    line 8 adopts n2 = 3.  Eq. (5)'s bounds decide all three line-4
+    tests, so the one evaluation left is the reported pfh(LO) at n2.
+    With bounds that decide nothing, line 4 evaluates each candidate
+    once, and the reported pfh(LO) is the value line 4 already computed,
+    not a second evaluation.
     """
 
     @staticmethod
@@ -233,35 +245,49 @@ class TestPerRunReuse:
         return fms.with_tasks([replace(t, wcet=t.wcet / 2) for t in fms])
 
     @staticmethod
-    def _count_evaluations(monkeypatch):
+    def _assert_each_once(monkeypatch, run):
         evaluated = []
         inner = profiles_module.pfh_lo_killing
 
         def counting(taskset, reexecution, adaptation, *args):
-            evaluated.append(frozenset(adaptation.items()))
+            # Each profile is uniform: record its one n'.
+            evaluated.append({n_prime for _, n_prime in adaptation.items()})
             return inner(taskset, reexecution, adaptation, *args)
 
-        monkeypatch.setattr(profiles_module, "pfh_lo_killing", counting)
-        return evaluated
+        def evaluations():
+            evaluated.clear()
+            result = run()
+            assert result.success and result.n1_hi == result.n2_hi == 3
+            return evaluated
 
-    def _assert_each_once(self, evaluated, result):
-        assert result.success and result.n1_hi == result.n2_hi == 3
-        assert len(evaluated) == len(set(evaluated)) == 3
+        monkeypatch.setattr(profiles_module, "pfh_lo_killing", counting)
+        # The bounds decide line 4; only the reported n2 is evaluated.
+        assert evaluations() == [{3}]
+        # Bounds that decide nothing: n_HI first, then the scan, and the
+        # report reuses the value at n' = 3.
+        monkeypatch.setattr(
+            profiles_module,
+            "pfh_lo_killing_bounds",
+            lambda *args: (0.0, float("inf")),
+        )
+        assert evaluations() == [{3}, {1}, {2}]
 
     def test_ft_schedule(self, fms, monkeypatch):
         from repro.core.ftmc import ft_schedule
 
         taskset = self._light_fms(fms)
-        evaluated = self._count_evaluations(monkeypatch)
-        self._assert_each_once(evaluated, ft_schedule(taskset, EDFVDBackend()))
+        self._assert_each_once(
+            monkeypatch, lambda: ft_schedule(taskset, EDFVDBackend())
+        )
 
     def test_ft_schedule_partitioned(self, fms, monkeypatch):
         from repro.planner.ftmp import ft_schedule_partitioned
 
         taskset = self._light_fms(fms)
-        evaluated = self._count_evaluations(monkeypatch)
-        result = ft_schedule_partitioned(taskset, 2, EDFVDBackend())
-        self._assert_each_once(evaluated, result)
+        self._assert_each_once(
+            monkeypatch,
+            lambda: ft_schedule_partitioned(taskset, 2, EDFVDBackend()),
+        )
 
 
 class TestTierEquivalence:

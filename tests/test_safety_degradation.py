@@ -135,6 +135,15 @@ class TestPfhLoDegradation:
         with pytest.raises(ValueError, match="operation hours"):
             pfh_lo_degradation(example31, reexecution, adaptation, -2.0)
 
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_operation_hours(self, fms, hours):
+        reexecution = ReexecutionProfile.uniform(fms, 3, 2)
+        adaptation = AdaptationProfile.uniform(fms, 2)
+        with pytest.raises(
+            ValueError, match="operation hours must be positive and finite"
+        ):
+            pfh_lo_degradation(fms, reexecution, adaptation, hours)
+
 
 class TestScenarioBound:
     """Eq. (9) and its maximisation at t0 = t (proof of Lemma 3.4)."""
@@ -163,6 +172,17 @@ class TestScenarioBound:
         )
         eq7 = pfh_lo_degradation(example31, reexecution, adaptation, os_hours)
         assert at_end == pytest.approx(eq7, rel=1e-12)
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_operation_hours(self, fms, hours):
+        reexecution = ReexecutionProfile.uniform(fms, 3, 2)
+        adaptation = AdaptationProfile.uniform(fms, 2)
+        with pytest.raises(
+            ValueError, match="operation hours must be positive and finite"
+        ):
+            pfh_lo_degradation_scenario(
+                fms, reexecution, adaptation, 6.0, 0.0, hours
+            )
 
     def test_rejects_trigger_outside_window(self, example31):
         reexecution = ReexecutionProfile.uniform(example31, 3, 2)

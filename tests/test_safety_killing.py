@@ -1,5 +1,6 @@
 """Tests for safety under task killing — eqs. (3)-(5), Lemmas 3.2/3.3."""
 
+import decimal
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.model.task import HOUR_MS, Task, TaskSet
 from repro.safety.killing import (
     kill_probability,
     pfh_lo_killing,
+    pfh_lo_killing_bounds,
     pfh_lo_killing_reference,
     survival_probability,
     survival_probability_at,
@@ -104,6 +106,38 @@ class TestSurvivalProbability:
     def test_rejects_negative_horizon(self, example31, example31_adaptation):
         with pytest.raises(ValueError, match="non-negative"):
             survival_probability(example31, example31_adaptation, -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            kill_probability(example31, example31_adaptation, -1.0)
+
+
+class TestKillProbabilityOracle:
+    """``1 - R`` of eq. (3) against a 60-digit ``decimal`` evaluation with
+    the same eq. (1) rounds.
+
+    On the FMS at n' = 3, ``R`` is within ~1e-7 of 1, where ``1.0 - R`` in
+    binary floating point kept only about nine significant digits.
+    """
+
+    @staticmethod
+    def _exact(taskset, n_prime, horizon):
+        with decimal.localcontext() as context:
+            context.prec = 60
+            survival = decimal.Decimal(1)
+            for task in taskset.hi_tasks:
+                success = 1 - decimal.Decimal(task.failure_probability) ** n_prime
+                survival *= success ** max_rounds(task, n_prime, horizon)
+            return float(1 - survival)
+
+    @pytest.mark.parametrize("hours", [1.0, 10.0])
+    @pytest.mark.parametrize("n_prime", [1, 2, 3])
+    def test_fms_matches_decimal(self, fms, n_prime, hours):
+        horizon = hours * HOUR_MS
+        value = kill_probability(
+            fms, AdaptationProfile.uniform(fms, n_prime), horizon
+        )
+        assert value == pytest.approx(
+            self._exact(fms, n_prime, horizon), rel=1e-12, abs=0.0
+        )
 
 
 class TestTimingPoints:
@@ -316,6 +350,19 @@ class TestPfhLoKilling:
         adaptation = AdaptationProfile.uniform(example31, 2)
         with pytest.raises(ValueError, match="operation hours"):
             pfh_lo_killing(example31, reexecution, adaptation, 0.0)
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [pfh_lo_killing, pfh_lo_killing_reference, pfh_lo_killing_bounds],
+    )
+    def test_rejects_non_finite_operation_hours(self, fms, evaluate, hours):
+        reexecution = ReexecutionProfile.uniform(fms, 3, 2)
+        adaptation = AdaptationProfile.uniform(fms, 2)
+        with pytest.raises(
+            ValueError, match="operation hours must be positive and finite"
+        ):
+            evaluate(fms, reexecution, adaptation, hours)
 
     def test_validates_adaptation_against_reexecution(self, example31):
         reexecution = ReexecutionProfile.uniform(example31, 2, 1)
