@@ -18,8 +18,9 @@ from repro import CriticalityRole, ReexecutionProfile, ft_edf_vd, \
     ft_edf_vd_degradation
 from repro.analysis import schedulable_without_adaptation
 from repro.core import minimal_reexecution_profiles
-from repro.experiments import render_fig1, render_fig2, run_fig1, run_fig2
+from repro.experiments import render_fig1, render_fig2
 from repro.gen import FMS_DEGRADATION_FACTOR, canonical_fms
+from repro.runner import run_inline
 
 
 def main() -> None:
@@ -45,7 +46,8 @@ def main() -> None:
     kill = ft_edf_vd(fms)
     print(f"\nFT-EDF-VD with task killing: "
           f"{'SUCCESS' if kill.success else f'FAILURE ({kill.failure.value})'}")
-    print(render_fig1(run_fig1(fms)))
+    [fig1] = run_inline("fig1")  # the Fig. 1 sweep on this pinned FMS
+    print(render_fig1(fig1))
 
     # Step 4: service degradation (Fig. 2).
     degrade = ft_edf_vd_degradation(fms, FMS_DEGRADATION_FACTOR)
@@ -54,7 +56,8 @@ def main() -> None:
           f"{'SUCCESS' if degrade.success else 'FAILURE'}"
           + (f" with n'_HI={degrade.adaptation}, "
              f"pfh(LO)={degrade.pfh_lo:.2e}" if degrade.success else ""))
-    print(render_fig2(run_fig2(fms)))
+    [fig2] = run_inline("fig2")
+    print(render_fig2(fig2))
 
     print(
         "\nConclusion (paper, Section 5.1): if safety matters for the less "

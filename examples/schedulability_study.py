@@ -11,12 +11,9 @@ Run:  python examples/schedulability_study.py [--sets N] [--full-grid]
 
 import argparse
 
-from repro.experiments import (
-    FIG3_PANELS,
-    render_fig3_panel,
-    run_fig3_panel,
-)
+from repro.experiments import render_fig3_panel
 from repro.experiments.fig3 import DEFAULT_UTILIZATIONS
+from repro.runner import build_options, run_inline
 
 
 def main() -> None:
@@ -34,11 +31,13 @@ def main() -> None:
         else (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     )
 
-    for key in ("a", "b", "c", "d"):
-        panel = FIG3_PANELS[key]
-        result = run_fig3_panel(
-            panel, args.f, utilizations, sets_per_point=args.sets
-        )
+    options = build_options(
+        "fig3",
+        sets=args.sets,
+        failure_probabilities=[args.f],
+        utilizations=list(utilizations),
+    )
+    for result in run_inline("fig3", options):  # panels a-d
         print(result.render())
         print()
         print(render_fig3_panel(result))

@@ -29,7 +29,42 @@ from dataclasses import dataclass
 from repro.analysis.tolerance import utilization_exceeds
 from repro.model.mc_task import MCTaskSet
 
-__all__ = ["EDFVDAnalysis", "edf_vd_utilization", "edf_vd_schedulable", "edf_vd_x"]
+__all__ = [
+    "EDFVDAnalysis",
+    "edf_vd_loads",
+    "edf_vd_utilization",
+    "edf_vd_schedulable",
+    "edf_vd_x",
+]
+
+
+def edf_vd_loads(
+    u_hi_lo: float,
+    u_hi_hi: float,
+    u_lo_lo: float,
+    degradation_factor: float | None = None,
+) -> tuple[float, float, float | None]:
+    """``(LO-mode load, HI-mode load, x)``: the two operands of eq. (10).
+
+    ``x = U_HI^LO / (1 - U_LO^LO)`` is the virtual-deadline factor, and
+    under service degradation (``degradation_factor`` given) the
+    ``lambda`` of eq. (12), whose HI-mode load
+    ``U_HI^HI / (1 - lambda) + U_LO^LO / (df - 1)`` replaces eq. (10)'s.
+    The HI-mode load is infinite where it is undefined: ``U_LO^LO >= 1``
+    (then ``x`` is ``None``) or, under degradation, ``lambda >= 1``.
+    Every analysis of the EDF-VD family takes its loads from here, so
+    their float operations, and hence their verdicts, agree bit for bit.
+    """
+    lo_mode = u_hi_lo + u_lo_lo
+    if u_lo_lo >= 1.0:
+        # x's denominator vanishes: HI-mode load is unbounded.
+        return lo_mode, math.inf, None
+    x = u_hi_lo / (1.0 - u_lo_lo)
+    if degradation_factor is None:
+        return lo_mode, u_hi_hi + x * u_lo_lo, x
+    if x >= 1.0:
+        return lo_mode, math.inf, x
+    return lo_mode, u_hi_hi / (1.0 - x) + u_lo_lo / (degradation_factor - 1.0), x
 
 
 @dataclass(frozen=True)
@@ -67,14 +102,7 @@ def analyse(mc: MCTaskSet) -> EDFVDAnalysis:
     u_hi_lo = mc.u_hi_lo
     u_hi_hi = mc.u_hi_hi
     u_lo_lo = mc.u_lo_lo
-    lo_mode = u_hi_lo + u_lo_lo
-    if u_lo_lo >= 1.0:
-        # lambda's denominator vanishes: HI-mode load is unbounded.
-        x = None
-        hi_mode = math.inf
-    else:
-        x = u_hi_lo / (1.0 - u_lo_lo)
-        hi_mode = u_hi_hi + x * u_lo_lo
+    lo_mode, hi_mode, x = edf_vd_loads(u_hi_lo, u_hi_hi, u_lo_lo)
     return EDFVDAnalysis(
         u_hi_lo=u_hi_lo,
         u_hi_hi=u_hi_hi,

@@ -13,9 +13,9 @@ which Algorithm 2's line 11 replacement (eq. 11) re-expresses through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.analysis.edf_vd import edf_vd_loads
 from repro.analysis.tolerance import utilization_exceeds
 from repro.model.mc_task import MCTaskSet
 
@@ -60,17 +60,9 @@ def analyse(mc: MCTaskSet, degradation_factor: float) -> EDFVDDegradationAnalysi
     u_hi_lo = mc.u_hi_lo
     u_hi_hi = mc.u_hi_hi
     u_lo_lo = mc.u_lo_lo
-    lo_mode = u_hi_lo + u_lo_lo
-    lam: float | None
-    if u_lo_lo >= 1.0:
-        lam = None
-        hi_mode = math.inf
-    else:
-        lam = u_hi_lo / (1.0 - u_lo_lo)
-        if lam >= 1.0:
-            hi_mode = math.inf
-        else:
-            hi_mode = u_hi_hi / (1.0 - lam) + u_lo_lo / (degradation_factor - 1.0)
+    lo_mode, hi_mode, lam = edf_vd_loads(
+        u_hi_lo, u_hi_hi, u_lo_lo, degradation_factor
+    )
     return EDFVDDegradationAnalysis(
         degradation_factor=degradation_factor,
         u_hi_lo=u_hi_lo,

@@ -11,12 +11,16 @@ Regenerates any table or figure of the paper from the terminal::
     ftmc fig3 --panels a b --sets 100   # acceptance-ratio curves
     ftmc all --sets 50     # everything, CSVs into --output-dir
 
-CSV files are written when ``--output-dir`` is given.
+CSV files are written when ``--output-dir`` is given.  The table and
+figure verbs and ``ftmc validate`` run the campaign definitions of
+``ftmc campaign`` in this process (``repro.runner.run_inline``): one
+implementation of each experiment, and the same result bytes either
+way.
 
 Every verb has its own parser and accepts only the flags it reads
 (``ftmc <verb> --help``); any other flag is a usage error, exit 2.  A
 flag left out is not passed on, so each default lives in one place: the
-function or request type the verb calls (``run_fig3``, each campaign's
+function or request type the verb calls (each campaign's
 ``default_options()``, ``AnalyzeRequest``, ...).  Counts (``--sets``,
 ``--jobs``, ``--max-retries``) and durations are checked as they are
 parsed.
@@ -96,9 +100,6 @@ _NON_NEGATIVE_INT = _at_least(int, 0)
 _POSITIVE_SECONDS = _at_least(float, 0, strict=True)
 _NON_NEGATIVE_SECONDS = _at_least(float, 0)
 
-#: The Fig. 3 grid flags, by their ``run_fig3`` parameter names.
-_GRID = ("panels", "failure_probabilities", "utilizations", "sets_per_point", "seed")
-
 
 def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
     """The flags among ``names`` that were passed on the command line.
@@ -148,54 +149,62 @@ def _load_system(path: str) -> TaskSet | None:
     return None
 
 
-def _table_producers() -> dict[str, Callable[[], ExperimentResult]]:
-    from repro.experiments.tables import (
-        table1,
-        table2_example31,
-        table3_example41,
-        table4_fms,
-    )
+def _options(experiment: str, args: argparse.Namespace) -> dict[str, Any]:
+    """``experiment``'s campaign options with the flags given in ``args``;
+    ``ValueError`` for a flag it does not read."""
+    from repro.runner.campaigns import build_options
 
-    return {
-        "table1": table1,
-        "table2": table2_example31,
-        "table3": table3_example41,
-        "table4": table4_fms,
-    }
+    return build_options(
+        experiment,
+        sets=getattr(args, "sets_per_point", None),
+        **_given(args, "seed", "panels", "failure_probabilities", "utilizations"),
+    )
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    _emit(_table_producers()[args.verb](), args.output_dir)
+    from repro.runner.campaigns import run_inline
+
+    for result in run_inline("tables", {"tables": [args.verb]}):
+        _emit(result, args.output_dir)
     return 0
 
 
 def _run_fig1(args: argparse.Namespace) -> int:
-    from repro.experiments.fig1 import render_fig1, run_fig1
+    from repro.experiments.fig1 import render_fig1
+    from repro.runner.campaigns import run_inline
 
-    result = run_fig1()
-    _emit(result, args.output_dir, render_fig1(result))
+    for result in run_inline("fig1"):
+        _emit(result, args.output_dir, render_fig1(result))
     return 0
 
 
 def _run_fig2(args: argparse.Namespace) -> int:
-    from repro.experiments.fig2 import render_fig2, run_fig2
+    from repro.experiments.fig2 import render_fig2
+    from repro.runner.campaigns import run_inline
 
-    result = run_fig2()
-    _emit(result, args.output_dir, render_fig2(result))
+    for result in run_inline("fig2"):
+        _emit(result, args.output_dir, render_fig2(result))
     return 0
 
 
 def _run_fig3(args: argparse.Namespace) -> int:
-    from repro.experiments.fig3 import render_fig3_panel, run_fig3
+    from repro.experiments.fig3 import render_fig3_panel
+    from repro.runner.campaigns import CampaignConfigError, run_inline
 
-    for result in run_fig3(**_given(args, *_GRID)).values():
+    try:
+        results = run_inline("fig3", _options("fig3", args))
+    except CampaignConfigError as exc:  # a grid that repeats a point
+        return _fail(str(exc))
+    for result in results:
         _emit(result, args.output_dir, render_fig3_panel(result))
     return 0
 
 
 def _run_all(args: argparse.Namespace) -> int:
-    for produce in _table_producers().values():
-        _emit(produce(), args.output_dir)
+    from repro.runner.campaigns import run_inline
+
+    for result in run_inline("tables"):
+        _emit(result, args.output_dir)
     _run_fig1(args)
     _run_fig2(args)
     return _run_fig3(args)
@@ -295,19 +304,19 @@ def _run_campaign(args: argparse.Namespace) -> int:
         CampaignConfigError,
         CampaignInterrupted,
         RetryPolicy,
-        build_options,
+        get_campaign,
         run_campaign,
     )
 
     target = args.experiment
     try:
-        options = build_options(
-            target,
-            sets=getattr(args, "sets_per_point", None),
-            **_given(args, "seed", "panels", "failure_probabilities", "utilizations"),
-        )
+        get_campaign(target)
     except ValueError as exc:  # unknown campaign
         return _fail(str(exc))
+    try:
+        options = _options(target, args)
+    except ValueError as exc:  # a flag this experiment does not read
+        args.usage_error(str(exc))
     retry = None
     knobs = _given(args, "max_retries", "base_delay")
     if knobs:
@@ -367,20 +376,12 @@ def _run_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    from repro.experiments.validation_campaign import run_validation_campaign
+    from repro.runner.campaigns import run_inline
 
     exit_code = 0
-    for mechanism in ("kill", "degrade"):
-        result = run_validation_campaign(
-            mechanism=mechanism, **_given(args, "sets_per_point", "seed")
-        )
+    for result in run_inline("validation", _options("validation", args)):
         _emit(result, args.output_dir)
-        if any(
-            accepted != validated
-            for accepted, validated in zip(
-                result.column("accepted"), result.column("validated")
-            )
-        ):
+        if result.column("accepted") != result.column("validated"):
             exit_code = 1
     return exit_code
 
@@ -639,11 +640,16 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", "fault-tolerant sharded run (docs/robustness.md)",
         _run_campaign, output, grid,
     )
+    # Which grid flags apply depends on EXPERIMENT, so the verb refuses
+    # the others after parsing, with the same usage error.
+    campaign.set_defaults(usage_error=campaign.error)
     campaign.add_argument(
         "experiment", metavar="EXPERIMENT",
-        help="fig1, fig2, fig3, tables, validation or multicore; the grid "
-             "flags apply to fig3, --sets and --seed to each campaign "
-             "that draws task sets",
+        help="fig1, fig2, fig3, tables, validation or multicore; "
+             "--panels and --failure-probabilities apply to fig3, "
+             "--utilizations to fig3 and validation, --sets and --seed to "
+             "each campaign that draws task sets; a flag EXPERIMENT does "
+             "not read is refused",
     )
     campaign.add_argument(
         "--resume", action="store_true", default=suppress,

@@ -26,7 +26,12 @@ from repro.analysis.amc import amc_rtb_schedulable
 from repro.analysis.amc_max import amc_max_schedulable
 from repro.analysis.dbf_mc import dbf_mc_schedulable
 from repro.analysis.smc import smc_schedulable
-from repro.analysis.edf_vd import edf_vd_schedulable, edf_vd_utilization, edf_vd_x
+from repro.analysis.edf_vd import (
+    edf_vd_loads,
+    edf_vd_schedulable,
+    edf_vd_utilization,
+    edf_vd_x,
+)
 from repro.analysis.edf_vd_degradation import (
     edf_vd_degradation_schedulable,
     edf_vd_degradation_utilization,
@@ -201,8 +206,9 @@ def _edf_vd_uniform_series(
     budgets are ``n' * C`` / ``n_hi * C`` for HI tasks and ``n_lo * C``
     for LO tasks, so the criticality utilizations are plain Python sums of
     ``(n * wcet) / period`` in task order — evaluated here with the same
-    float operations in the same order as the materialised path, making
-    the verdicts bit-identical.  ``U_LO^LO`` and ``U_HI^HI`` are
+    float operations in the same order as the materialised path, and both
+    take their loads from :func:`~repro.analysis.edf_vd.edf_vd_loads`,
+    making the verdicts bit-identical.  ``U_LO^LO`` and ``U_HI^HI`` are
     candidate-independent and hoisted out of the scan; only ``U_HI^LO``
     is recomputed, per candidate, as the returned iterator is consumed.
     """
@@ -220,20 +226,9 @@ def _edf_vd_uniform_series(
 
     def verdict_at(n_prime: int) -> bool:
         u_hi_lo = sum((n_prime * t.wcet) / t.period for t in hi_tasks)
-        lo_mode = u_hi_lo + u_lo_lo
-        if u_lo_lo >= 1.0:
-            hi_mode = math.inf
-        elif degradation_factor is None:
-            x = u_hi_lo / (1.0 - u_lo_lo)
-            hi_mode = u_hi_hi + x * u_lo_lo
-        else:
-            lam = u_hi_lo / (1.0 - u_lo_lo)
-            if lam >= 1.0:
-                hi_mode = math.inf
-            else:
-                hi_mode = u_hi_hi / (1.0 - lam) + u_lo_lo / (
-                    degradation_factor - 1.0
-                )
+        lo_mode, hi_mode, _ = edf_vd_loads(
+            u_hi_lo, u_hi_hi, u_lo_lo, degradation_factor
+        )
         return not utilization_exceeds(max(lo_mode, hi_mode))
 
     return map(verdict_at, n_primes)

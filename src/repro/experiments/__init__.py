@@ -1,23 +1,27 @@
-"""Experiment drivers reproducing every table and figure of the paper."""
+"""The paper's tables and figures: per-point computations, results, charts.
+
+Each sharded artifact (Tables 1-4, Figs. 1-3, the validation campaign)
+runs through one loop, its campaign definition in
+:mod:`repro.runner.campaigns`:
+``repro.runner.run_inline("fig1")`` runs it in-process, and
+``repro.runner.run_campaign`` shards it.
+"""
 
 from repro.experiments.ascii_chart import line_chart
 from repro.experiments.backend_comparison import (
     render_backend_comparison,
     run_backend_comparison,
 )
-from repro.experiments.fig1 import render_fig1, run_fig1
-from repro.experiments.fig2 import render_fig2, run_fig2
+from repro.experiments.fig1 import render_fig1
+from repro.experiments.fig2 import render_fig2
 from repro.experiments.fig3 import (
     DEFAULT_FAILURE_PROBABILITIES,
     DEFAULT_UTILIZATIONS,
     FIG3_PANELS,
     PanelConfig,
     render_fig3_panel,
-    run_fig3,
-    run_fig3_panel,
 )
 from repro.experiments.fms_sweep import (
-    adaptation_sweep,
     render_sweep_chart,
     u_mc_degrade,
     u_mc_kill,
@@ -29,7 +33,6 @@ from repro.experiments.sensitivity import (
     sweep_p_hi,
 )
 from repro.experiments.overhead_study import run_overhead_study
-from repro.experiments.validation_campaign import run_validation_campaign
 from repro.experiments.tables import (
     example31_taskset,
     table1,
@@ -43,17 +46,12 @@ __all__ = [
     "render_backend_comparison",
     "run_backend_comparison",
     "render_fig1",
-    "run_fig1",
     "render_fig2",
-    "run_fig2",
     "DEFAULT_FAILURE_PROBABILITIES",
     "DEFAULT_UTILIZATIONS",
     "FIG3_PANELS",
     "PanelConfig",
     "render_fig3_panel",
-    "run_fig3",
-    "run_fig3_panel",
-    "adaptation_sweep",
     "render_sweep_chart",
     "u_mc_degrade",
     "u_mc_kill",
@@ -61,7 +59,6 @@ __all__ = [
     "sweep_degradation_factor",
     "sweep_operation_hours",
     "sweep_p_hi",
-    "run_validation_campaign",
     "run_overhead_study",
     "example31_taskset",
     "table1",

@@ -1,8 +1,10 @@
 """Figure 1: the impacts of task killing on the FMS (Section 5.1).
 
-Sweeps the killing profile ``n'_HI`` of the HI (level-B) tasks and records
+The ``fig1`` campaign (:mod:`repro.runner.campaigns`, ``ftmc fig1``)
+sweeps the killing profile ``n'_HI`` of the HI (level-B) tasks and records
 the mixed-criticality utilization ``U_MC`` (Algorithm 2, line 11) and the
-LO-level PFH bound under killing (eq. 5) for the pinned FMS instance.
+LO-level PFH bound under killing (eq. 5) for the pinned FMS instance, one
+:func:`~repro.experiments.fms_sweep.sweep_point` per ``n'``.
 
 Expected qualitative shape (paper):
 
@@ -16,32 +18,12 @@ Expected qualitative shape (paper):
 
 from __future__ import annotations
 
-from repro.experiments.fms_sweep import adaptation_sweep, render_sweep_chart
+from repro.experiments.fms_sweep import render_sweep_chart
 from repro.experiments.results import ExperimentResult
-from repro.gen.fms import FMS_OPERATION_HOURS, canonical_fms
-from repro.model.task import TaskSet
 
-__all__ = ["run_fig1", "render_fig1"]
+__all__ = ["render_fig1"]
 
 
-def run_fig1(
-    taskset: TaskSet | None = None,
-    operation_hours: float = FMS_OPERATION_HOURS,
-    n_prime_max: int = 4,
-) -> ExperimentResult:
-    """Reproduce the Fig. 1 series on ``taskset`` (default: pinned FMS)."""
-    taskset = taskset or canonical_fms()
-    return adaptation_sweep(
-        taskset,
-        mechanism="kill",
-        operation_hours=operation_hours,
-        n_prime_max=n_prime_max,
-        name="fig1",
-        description="FMS: impacts of task killing (U_MC and pfh(LO) vs n'_HI)",
-    )
-
-
-def render_fig1(result: ExperimentResult | None = None) -> str:
-    """ASCII chart of the Fig. 1 series."""
-    result = result or run_fig1()
+def render_fig1(result: ExperimentResult) -> str:
+    """ASCII chart of the Fig. 1 series (the ``fig1`` campaign's result)."""
     return render_sweep_chart(result, "Fig. 1 (task killing)")

@@ -1,6 +1,7 @@
 """Figure 2: the impacts of service degradation on the FMS (Section 5.1).
 
-Same sweep as Fig. 1 but the mode switch degrades the level-C tasks
+Same sweep as Fig. 1 (here the ``fig2`` campaign, ``ftmc fig2``) but the
+mode switch degrades the level-C tasks
 (periods stretched by ``df = 6``) instead of killing them; ``U_MC`` comes
 from eq. (11) and the LO-level PFH bound from eq. (7).
 
@@ -15,41 +16,12 @@ Expected qualitative shape (paper):
 
 from __future__ import annotations
 
-from repro.experiments.fms_sweep import adaptation_sweep, render_sweep_chart
+from repro.experiments.fms_sweep import render_sweep_chart
 from repro.experiments.results import ExperimentResult
-from repro.gen.fms import (
-    FMS_DEGRADATION_FACTOR,
-    FMS_OPERATION_HOURS,
-    canonical_fms,
-)
-from repro.model.task import TaskSet
 
-__all__ = ["run_fig2", "render_fig2"]
+__all__ = ["render_fig2"]
 
 
-def run_fig2(
-    taskset: TaskSet | None = None,
-    operation_hours: float = FMS_OPERATION_HOURS,
-    degradation_factor: float = FMS_DEGRADATION_FACTOR,
-    n_prime_max: int = 4,
-) -> ExperimentResult:
-    """Reproduce the Fig. 2 series on ``taskset`` (default: pinned FMS)."""
-    taskset = taskset or canonical_fms()
-    return adaptation_sweep(
-        taskset,
-        mechanism="degrade",
-        operation_hours=operation_hours,
-        degradation_factor=degradation_factor,
-        n_prime_max=n_prime_max,
-        name="fig2",
-        description=(
-            "FMS: impacts of service degradation "
-            f"(df={degradation_factor:g}; U_MC and pfh(LO) vs n'_HI)"
-        ),
-    )
-
-
-def render_fig2(result: ExperimentResult | None = None) -> str:
-    """ASCII chart of the Fig. 2 series."""
-    result = result or run_fig2()
+def render_fig2(result: ExperimentResult) -> str:
+    """ASCII chart of the Fig. 2 series (the ``fig2`` campaign's result)."""
     return render_sweep_chart(result, "Fig. 2 (service degradation)")

@@ -31,7 +31,6 @@ with line 4 on exact pfh(LO) values, and the test suite pins
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +64,6 @@ __all__ = [
     "fig3_point_tasksets",
     "accept_in_paper_order",
     "fig3_panel_skeleton",
-    "run_fig3_panel",
-    "run_fig3",
     "render_fig3_panel",
 ]
 
@@ -194,9 +191,8 @@ def fig3_point(
     """One data point of a panel: acceptance ratios at one utilization.
 
     ``point_index`` is the point's position on the utilization grid; it
-    enters the per-set RNG seed, so a campaign shard that evaluates a
-    single point reproduces exactly the sets an in-process sweep would
-    have generated at that grid position.
+    enters the per-set RNG seed, so each grid point draws its own sets
+    wherever the ``fig3`` campaign's shard for it runs.
 
     Each set runs line 2 once (:func:`minimal_reexecution_profiles`),
     then the no-adaptation baseline on the ``n_i``-inflated workload, and
@@ -280,50 +276,6 @@ def fig3_panel_skeleton(
         ]
     )
     return result
-
-
-def run_fig3_panel(
-    panel: PanelConfig,
-    failure_probability: float,
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    sets_per_point: int = 500,
-    seed: int = 0,
-    generator: GeneratorConfig = PAPER_CONFIG,
-) -> ExperimentResult:
-    """Acceptance-ratio series for one panel at one failure probability."""
-    result = fig3_panel_skeleton(panel, failure_probability)
-    for point_index, utilization in enumerate(utilizations):
-        result.add_row(
-            *fig3_point(
-                panel,
-                failure_probability,
-                point_index,
-                utilization,
-                sets_per_point,
-                seed,
-                generator,
-            )
-        )
-    return result
-
-
-def run_fig3(
-    panels: Sequence[str] = ("a", "b", "c", "d"),
-    failure_probabilities: Sequence[float] = DEFAULT_FAILURE_PROBABILITIES,
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    sets_per_point: int = 500,
-    seed: int = 0,
-) -> dict[str, ExperimentResult]:
-    """All requested Fig. 3 series, keyed ``"<panel>-f<probability>"``."""
-    results: dict[str, ExperimentResult] = {}
-    for key in panels:
-        panel = FIG3_PANELS[key]
-        for f in failure_probabilities:
-            result = run_fig3_panel(
-                panel, f, utilizations, sets_per_point, seed
-            )
-            results[f"{key}-f{f:g}"] = result
-    return results
 
 
 def render_fig3_panel(result: ExperimentResult) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analysis.edf_vd import edf_vd_loads
 from repro.analysis.tolerance import utilization_exceeds
 from repro.core.ftmc import ft_edf_vd, ft_edf_vd_degradation
 from repro.core.profiles import minimal_reexecution_profiles, pfh_lo_adapted
@@ -30,14 +31,13 @@ from repro.obs import trace as obs_trace
 __all__ = [
     "u_mc_kill",
     "u_mc_degrade",
-    "adaptation_sweep",
     "sweep_point",
     "sweep_notes",
     "SWEEP_COLUMNS",
 ]
 
-#: Column layout shared by the Fig. 1 / Fig. 2 sweeps (and their campaign
-#: shards, which compute one row each).
+#: Column layout of the Fig. 1 / Fig. 2 sweeps, whose campaign shards
+#: compute one row each.
 SWEEP_COLUMNS: tuple[str, ...] = (
     "n_prime",
     "u_mc",
@@ -54,37 +54,27 @@ def u_mc_kill(taskset: TaskSet, n_hi: int, n_lo: int, n_prime: int) -> float:
 
     ``U_MC(n) = max(n*U_HI + U_LO^LO, U_HI^HI + lambda(n) * U_LO^LO)``
     with ``U_HI^HI = n_HI * U_HI``, ``U_LO^LO = n_LO * U_LO`` and
-    ``lambda(n) = n * U_HI / (1 - U_LO^LO)``.
+    ``lambda(n) = n * U_HI / (1 - U_LO^LO)``: eq. (10)'s loads at
+    ``U_HI^LO = n * U_HI``.
     """
     u_hi = taskset.utilization(CriticalityRole.HI)
     u_lo_lo = n_lo * taskset.utilization(CriticalityRole.LO)
-    u_hi_hi = n_hi * u_hi
-    lo_mode = n_prime * u_hi + u_lo_lo
-    if u_lo_lo >= 1.0:
-        return math.inf
-    lam = n_prime * u_hi / (1.0 - u_lo_lo)
-    return max(lo_mode, u_hi_hi + lam * u_lo_lo)
+    return max(edf_vd_loads(n_prime * u_hi, n_hi * u_hi, u_lo_lo)[:2])
 
 
 def u_mc_degrade(
     taskset: TaskSet, n_hi: int, n_lo: int, n_prime: int, degradation_factor: float
 ) -> float:
-    """``U_MC(n')`` under service degradation (eq. 11)."""
+    """``U_MC(n')`` under service degradation (eq. 11): eq. (12)'s loads."""
     if degradation_factor <= 1.0:
         raise ValueError(
             f"degradation factor must be > 1, got {degradation_factor}"
         )
     u_hi = taskset.utilization(CriticalityRole.HI)
     u_lo_lo = n_lo * taskset.utilization(CriticalityRole.LO)
-    u_hi_hi = n_hi * u_hi
-    lo_mode = n_prime * u_hi + u_lo_lo
-    if u_lo_lo >= 1.0:
-        return math.inf
-    lam = n_prime * u_hi / (1.0 - u_lo_lo)
-    if lam >= 1.0:
-        return math.inf
-    hi_mode = u_hi_hi / (1.0 - lam) + u_lo_lo / (degradation_factor - 1.0)
-    return max(lo_mode, hi_mode)
+    return max(
+        edf_vd_loads(n_prime * u_hi, n_hi * u_hi, u_lo_lo, degradation_factor)[:2]
+    )
 
 
 def _checked_mechanism(mechanism: str, degradation_factor: float | None) -> None:
@@ -164,41 +154,6 @@ def sweep_notes(
         f"n1_HI={fts.n1_hi} (minimal safe), n2_HI={fts.n2_hi} "
         "(maximal schedulable)",
     ]
-
-
-def adaptation_sweep(
-    taskset: TaskSet,
-    mechanism: str,
-    operation_hours: float,
-    degradation_factor: float | None = None,
-    n_prime_max: int = 4,
-    name: str = "sweep",
-    description: str = "",
-) -> ExperimentResult:
-    """Sweep ``n'_HI`` and record ``U_MC`` + LO-level PFH (Fig. 1 / Fig. 2).
-
-    The re-execution profiles are the minimal safe profiles of line 2
-    (``n_HI = 3, n_LO = 2`` for the FMS).  For hypothetical points
-    ``n' > n_HI``, the LO-safety bound is still evaluated (only the LO
-    tasks' ``n_i`` and the HI adaptation profile enter eqs. 5/7) and
-    ``U_MC`` comes from the closed form.
-    """
-    _checked_mechanism(mechanism, degradation_factor)
-    result = ExperimentResult(
-        name=name,
-        description=description,
-        columns=list(SWEEP_COLUMNS),
-    )
-    for n_prime in range(1, n_prime_max + 1):
-        result.add_row(
-            *sweep_point(
-                taskset, mechanism, n_prime, operation_hours, degradation_factor
-            )
-        )
-    result.extend_notes(
-        sweep_notes(taskset, mechanism, operation_hours, degradation_factor)
-    )
-    return result
 
 
 def render_sweep_chart(result: ExperimentResult, title: str) -> str:

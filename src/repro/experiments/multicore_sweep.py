@@ -18,13 +18,11 @@ exhausted), which is the honest-uncertainty band of the planned curve.
 
 Task sets come from the paper's Appendix C generator (HI=B, LO=D,
 killing); like Fig. 3 the per-set RNG is seeded ``[seed, point_index,
-set_index]`` so campaign shards reproduce exactly the sets an in-process
-sweep would generate at the same grid position.
+set_index]``, so each core count draws its own sets wherever its shard of
+the ``multicore`` campaign (:mod:`repro.runner.campaigns`) runs.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "MULTICORE_COLUMNS",
     "multicore_point",
     "multicore_skeleton",
-    "run_multicore_sweep",
     "render_multicore",
 ]
 
@@ -149,31 +146,6 @@ def multicore_skeleton(
             "budget at some adaptation profile",
         ]
     )
-    return result
-
-
-def run_multicore_sweep(
-    cores: Sequence[int] = DEFAULT_CORES,
-    per_core_utilization: float = DEFAULT_PER_CORE_UTILIZATION,
-    sets_per_point: int = 40,
-    backend_name: str = "edf-vd",
-    max_nodes: int = DEFAULT_PLANNER_MAX_NODES,
-    seed: int = 0,
-) -> ExperimentResult:
-    """The in-process sweep (campaigns shard it per core count instead)."""
-    result = multicore_skeleton(per_core_utilization, backend_name, max_nodes)
-    for point_index, m in enumerate(cores):
-        result.add_row(
-            *multicore_point(
-                int(m),
-                point_index,
-                per_core_utilization,
-                sets_per_point,
-                backend_name,
-                max_nodes,
-                seed,
-            )
-        )
     return result
 
 

@@ -6,13 +6,13 @@ random task sets across the utilization range, run FT-S, and for every
 (:func:`repro.sim.validate.validate_by_simulation`).  Any HI-criticality
 deadline miss would falsify the implementation of Theorem 4.1.
 
-This experiment is deliberately expensive; the bench runs a reduced
-version and the CLI (``ftmc validate``) exposes the full campaign.
+This experiment is deliberately expensive.  Its loop is the
+``validation`` campaign (:mod:`repro.runner.campaigns`), which
+``ftmc validate`` runs in-process and ``ftmc campaign validation``
+shards, one shard per (mechanism, utilization) point.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.model.criticality import DualCriticalitySpec
 from repro.sim.validate import validate_by_simulation
 
 __all__ = [
-    "run_validation_campaign",
     "validation_point",
     "validation_skeleton",
 ]
@@ -33,19 +32,20 @@ def validation_point(
     mechanism: str,
     point_index: int,
     utilization: float,
-    sets_per_point: int = 20,
-    runs_per_set: int = 3,
-    horizon: float = 120_000.0,
-    probability_scale: float = 1000.0,
-    lo_level: str = "D",
-    degradation_factor: float = 6.0,
-    seed: int = 0,
+    sets_per_point: int,
+    runs_per_set: int,
+    horizon: float,
+    probability_scale: float,
+    lo_level: str,
+    degradation_factor: float,
+    seed: int,
 ) -> tuple[float, int, int, int, int, int]:
-    """One utilization point of the campaign (shardable unit).
+    """One utilization point of the campaign (one shard of ``validation``).
 
     ``point_index`` is the point's position in the utilization sequence;
-    it enters the per-set RNG seed, preserving the exact task sets an
-    in-process campaign would generate at that position.
+    it enters the per-set RNG seed, so each point draws its own sets
+    wherever its shard runs.  The ``validation`` campaign's options
+    (:mod:`repro.runner.campaigns`) hold the one copy of each default.
     """
     if mechanism not in ("kill", "degrade"):
         raise ValueError(f"unknown mechanism: {mechanism!r}")
@@ -78,10 +78,10 @@ def validation_point(
 
 def validation_skeleton(
     mechanism: str,
-    runs_per_set: int = 3,
-    horizon: float = 120_000.0,
-    probability_scale: float = 1000.0,
-    lo_level: str = "D",
+    runs_per_set: int,
+    horizon: float,
+    probability_scale: float,
+    lo_level: str,
 ) -> ExperimentResult:
     """An empty campaign result with the canonical name/columns/notes."""
     result = ExperimentResult(
@@ -107,39 +107,4 @@ def validation_skeleton(
             f"({horizon:g} ms each, mixed periodic/jittered arrivals)",
         ]
     )
-    return result
-
-
-def run_validation_campaign(
-    utilizations: Sequence[float] = (0.5, 0.7, 0.9),
-    sets_per_point: int = 20,
-    runs_per_set: int = 3,
-    horizon: float = 120_000.0,
-    probability_scale: float = 1000.0,
-    lo_level: str = "D",
-    mechanism: str = "kill",
-    degradation_factor: float = 6.0,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Run the campaign; every accepted system must simulate miss-free."""
-    if mechanism not in ("kill", "degrade"):
-        raise ValueError(f"unknown mechanism: {mechanism!r}")
-    result = validation_skeleton(
-        mechanism, runs_per_set, horizon, probability_scale, lo_level
-    )
-    for point, utilization in enumerate(utilizations):
-        result.add_row(
-            *validation_point(
-                mechanism,
-                point,
-                utilization,
-                sets_per_point=sets_per_point,
-                runs_per_set=runs_per_set,
-                horizon=horizon,
-                probability_scale=probability_scale,
-                lo_level=lo_level,
-                degradation_factor=degradation_factor,
-                seed=seed,
-            )
-        )
     return result

@@ -53,7 +53,6 @@ from repro.analysis.edf import (
 from repro.analysis.qpa import qpa_schedulable
 from repro.core.backends import make_backend, schedulability_cache_info
 from repro.core.conversion import convert_uniform
-from repro.experiments.fig1 import run_fig1
 from repro.experiments.fig3 import (
     FIG3_PANELS,
     accept_in_paper_order,
@@ -64,7 +63,7 @@ from repro.gen.taskset import PAPER_CONFIG, GeneratorConfig, generate_taskset
 from repro.io import atomic_write_json
 from repro.model.criticality import DualCriticalitySpec
 from repro.planner import DEFAULT_MAX_NODES, PlanOptions, plan_partition
-from repro.runner.supervisor import run_campaign
+from repro.runner import run_campaign, run_inline
 
 __all__ = [
     "MIN_TIME_ENV",
@@ -280,7 +279,9 @@ def run_benchmarks(quick: bool = False, seed: int = 0) -> dict:
     # --- end-to-end: the Fig. 1 sweep (optimized only; it is dominated
     # by the safety bounds, not the kernels, and serves as a regression
     # canary for the whole pipeline rather than a speedup subject) -------
-    report["end_to_end"]["fig1_sweep"] = _measure(run_fig1, budget)
+    report["end_to_end"]["fig1_sweep"] = _measure(
+        lambda: run_inline("fig1"), budget
+    )
 
     # --- end-to-end: the campaign runner's worker pool ------------------
     # A single timed run per pool width (the adaptive loop would rerun a

@@ -18,10 +18,17 @@ A :class:`CampaignDefinition` gives the runner three pure functions:
 Because payloads round-trip through JSON both when checkpointed and
 when returned from a worker, an interrupted-and-resumed campaign
 finalises byte-identical result files to an uninterrupted one.
+
+These definitions are the only loop over each experiment's points:
+:func:`~repro.runner.run_campaign` shards one across forked workers,
+and :func:`run_inline` runs the same ``plan``/``execute``/``finalize``
+in the calling process (``ftmc fig1``, ``ftmc fig3``, ``ftmc validate``,
+...), with the same JSON round trip, so both give the same results.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -33,13 +40,6 @@ from repro.experiments.fig3 import (
     fig3_point,
 )
 from repro.experiments.fms_sweep import SWEEP_COLUMNS, sweep_notes, sweep_point
-from repro.experiments.multicore_sweep import (
-    DEFAULT_CORES,
-    DEFAULT_PER_CORE_UTILIZATION,
-    DEFAULT_PLANNER_MAX_NODES,
-    multicore_point,
-    multicore_skeleton,
-)
 from repro.experiments.results import ExperimentResult
 from repro.experiments.tables import (
     table1,
@@ -60,11 +60,17 @@ from repro.runner.shards import ShardSpec
 
 __all__ = [
     "CampaignDefinition",
+    "CampaignConfigError",
     "CAMPAIGNS",
     "get_campaign",
     "campaign_names",
     "build_options",
+    "run_inline",
 ]
+
+
+class CampaignConfigError(ValueError):
+    """Unusable campaign configuration (bad resume state, bad target)."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,6 @@ def _fms_options(mechanism: str) -> dict[str, Any]:
         "n_prime_max": 4,
         "operation_hours": FMS_OPERATION_HOURS,
         "degradation_factor": None,
-        "seed": 0,
     }
     if mechanism == "degrade":
         options["degradation_factor"] = FMS_DEGRADATION_FACTOR
@@ -102,7 +107,7 @@ def _fms_plan(options: dict[str, Any]) -> list[ShardSpec]:
         ShardSpec(
             id=f"nprime-{n_prime}",
             index=n_prime - 1,
-            seed=int(options.get("seed", 0)),
+            seed=0,
             params={
                 "mechanism": options["mechanism"],
                 "n_prime": n_prime,
@@ -351,9 +356,16 @@ def _validation_finalize(
 
 
 # -- multicore: one shard per core count ---------------------------------------
+# The sweep module imports the planner, which no other experiment loads.
 
 
 def _multicore_options() -> dict[str, Any]:
+    from repro.experiments.multicore_sweep import (
+        DEFAULT_CORES,
+        DEFAULT_PER_CORE_UTILIZATION,
+        DEFAULT_PLANNER_MAX_NODES,
+    )
+
     return {
         "cores": [int(m) for m in DEFAULT_CORES],
         "per_core_utilization": DEFAULT_PER_CORE_UTILIZATION,
@@ -385,6 +397,8 @@ def _multicore_plan(options: dict[str, Any]) -> list[ShardSpec]:
 
 
 def _multicore_execute(params: dict[str, Any]) -> list[Any]:
+    from repro.experiments.multicore_sweep import multicore_point
+
     row = multicore_point(
         int(params["m"]),
         int(params["point_index"]),
@@ -400,6 +414,8 @@ def _multicore_execute(params: dict[str, Any]) -> list[Any]:
 def _multicore_finalize(
     payloads: Mapping[str, Any], options: dict[str, Any]
 ) -> list[ExperimentResult]:
+    from repro.experiments.multicore_sweep import multicore_skeleton
+
     result = multicore_skeleton(
         float(options["per_core_utilization"]),
         options["backend"],
@@ -478,6 +494,25 @@ def get_campaign(name: str) -> CampaignDefinition:
         raise ValueError(f"unknown campaign {name!r} (known: {known})") from None
 
 
+def _floats(values: list[float]) -> list[float]:
+    return [float(value) for value in values]
+
+
+#: Each ``build_options`` knob: the campaign option it sets, the ``ftmc``
+#: flag that passes it, and its conversion.
+_KNOBS: dict[str, tuple[str, str, Callable[[Any], Any]]] = {
+    "seed": ("seed", "--seed", int),
+    "sets": ("sets_per_point", "--sets", int),
+    "panels": ("panels", "--panels", list),
+    "failure_probabilities": (
+        "failure_probabilities",
+        "--failure-probabilities",
+        _floats,
+    ),
+    "utilizations": ("utilizations", "--utilizations", _floats),
+}
+
+
 def build_options(
     name: str,
     seed: int | None = None,
@@ -488,21 +523,65 @@ def build_options(
 ) -> dict[str, Any]:
     """Merge generic CLI knobs into a campaign's default options.
 
-    Only knobs the campaign actually understands are applied; a knob
-    left at ``None`` keeps the campaign's own default.
+    A knob left at ``None`` keeps the campaign's own default.  A knob
+    the campaign has no option for is refused (``ValueError`` naming
+    its flag), never dropped.
     """
     options = get_campaign(name).default_options()
-    if seed is not None and "seed" in options:
-        options["seed"] = int(seed)
-    if sets is not None and "sets_per_point" in options:
-        options["sets_per_point"] = int(sets)
-    if name == "fig3":
-        if panels is not None:
-            options["panels"] = list(panels)
-        if failure_probabilities is not None:
-            options["failure_probabilities"] = [
-                float(f) for f in failure_probabilities
-            ]
-        if utilizations is not None:
-            options["utilizations"] = [float(u) for u in utilizations]
+    given = {
+        "seed": seed,
+        "sets": sets,
+        "panels": panels,
+        "failure_probabilities": failure_probabilities,
+        "utilizations": utilizations,
+    }
+    for knob, value in given.items():
+        if value is None:
+            continue
+        key, flag, convert = _KNOBS[knob]
+        if key not in options:
+            raise ValueError(f"campaign {name!r} does not read {flag}")
+        options[key] = convert(value)
     return options
+
+
+def _normalised(data: Any) -> Any:
+    """JSON round-trip, so tuples/lists and int/float compare canonically."""
+    return json.loads(json.dumps(data))
+
+
+def _checked_plan(
+    campaign: CampaignDefinition, options: dict[str, Any]
+) -> list[ShardSpec]:
+    """``campaign.plan(options)``, refused when empty or ids repeat."""
+    shards = campaign.plan(options)
+    if not shards:
+        raise CampaignConfigError(f"campaign {campaign.name!r} planned no shards")
+    ids = [s.id for s in shards]
+    if len(set(ids)) != len(ids):
+        raise CampaignConfigError(
+            f"campaign {campaign.name!r} has duplicate shard ids"
+        )
+    return shards
+
+
+def run_inline(
+    experiment: str, options: dict[str, Any] | None = None
+) -> list[ExperimentResult]:
+    """Run ``experiment``'s campaign definition in the calling process.
+
+    The definition :func:`~repro.runner.run_campaign` shards: ``plan``,
+    then each shard's ``execute`` in plan order, then ``finalize``.  Each
+    payload takes the JSON round trip a worker gives it, so the results
+    equal a campaign's byte for byte.  There is no fork, checkpoint,
+    retry, watchdog or output file, and a shard's exception propagates.
+    ``options`` defaults to the campaign's ``default_options()``.
+    """
+    campaign = get_campaign(experiment)
+    if options is None:
+        options = campaign.default_options()
+    payloads = {
+        spec.id: _normalised(campaign.execute(dict(spec.params)))
+        for spec in _checked_plan(campaign, options)
+    }
+    return campaign.finalize(payloads, options)

@@ -48,7 +48,13 @@ from repro.io import atomic_write_json
 from repro.obs import clock
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runner.campaigns import CampaignDefinition, get_campaign
+from repro.runner.campaigns import (
+    CampaignConfigError,
+    CampaignDefinition,
+    _checked_plan,
+    _normalised,
+    get_campaign,
+)
 from repro.runner.chaos import ChaosInjector
 from repro.runner.checkpoint import CampaignCheckpoint, CheckpointState
 from repro.runner.retry import RetryPolicy
@@ -101,15 +107,6 @@ class CampaignInterrupted(RuntimeError):
     @property
     def exit_code(self) -> int:
         return 128 + self.signum
-
-
-class CampaignConfigError(ValueError):
-    """Unusable campaign configuration (bad resume state, bad target)."""
-
-
-def _normalised(data: Any) -> Any:
-    """JSON round-trip, so tuples/lists and int/float compare canonically."""
-    return json.loads(json.dumps(data))
 
 
 def _span_id(handle: Any) -> int | None:
@@ -523,12 +520,8 @@ def run_campaign(
     if not timeout > 0:  # NaN fails this too
         raise CampaignConfigError(f"timeout must be > 0 seconds, got {timeout}")
 
-    shards = campaign.plan(options)
-    if not shards:
-        raise CampaignConfigError(f"campaign {experiment!r} planned no shards")
+    shards = _checked_plan(campaign, options)
     ids = [s.id for s in shards]
-    if len(set(ids)) != len(ids):
-        raise CampaignConfigError(f"campaign {experiment!r} has duplicate shard ids")
     # Only a configuration that passed every check above leaves a directory.
     os.makedirs(output_dir, exist_ok=True)
 

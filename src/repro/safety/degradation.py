@@ -23,6 +23,8 @@ property tests.
 
 from __future__ import annotations
 
+import math
+
 from repro.model.faults import (
     AdaptationProfile,
     ReexecutionProfile,
@@ -57,8 +59,8 @@ def omega(
         raise ValueError(
             f"degradation factor must be >= 1, got {degradation_factor}"
         )
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
     total = 0.0
     for task in taskset.lo_tasks:
         n = reexecution[task]

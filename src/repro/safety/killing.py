@@ -94,6 +94,17 @@ def _hi_arrays(
     return setups, periods, log_success
 
 
+def _checked_horizons(horizons: np.ndarray | Sequence[float]) -> np.ndarray:
+    """``horizons`` as a float array, refused unless each is in ``[0, inf)``."""
+    t = np.asarray(horizons, dtype=float)
+    valid = (t >= 0.0) & (t < math.inf)  # NaN fails both
+    if not valid.all():
+        raise ValueError(
+            f"horizon must be non-negative and finite, got {t[~valid].flat[0]}"
+        )
+    return t
+
+
 def _log_survival_at(
     taskset: TaskSet,
     adaptation: AdaptationProfile,
@@ -122,9 +133,7 @@ def survival_probability_at(
     Returns an array of the same shape as ``horizons``.  Computation is in
     log space: ``log R = sum_i r_i(n'_i, t) * log(1 - f_i^{n'_i})``.
     """
-    t = np.asarray(horizons, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("horizons must be non-negative")
+    t = _checked_horizons(horizons)
     log_r = _log_survival_at(taskset, adaptation, t.ravel(), assume_full_wcet)
     return np.exp(log_r).reshape(t.shape)
 
@@ -157,10 +166,8 @@ def kill_probability(
 
     Taken as ``-expm1(log R)``: ``1 - R`` cancels when ``R`` is near 1.
     """
-    if horizon < 0:
-        raise ValueError("horizons must be non-negative")
     log_r = _log_survival_at(
-        taskset, adaptation, np.array([float(horizon)]), assume_full_wcet
+        taskset, adaptation, _checked_horizons([horizon]), assume_full_wcet
     )
     return -math.expm1(float(log_r[0]))
 

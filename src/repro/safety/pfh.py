@@ -72,8 +72,10 @@ def max_rounds(
     """
     if executions < 1:
         raise ValueError(f"executions must be >= 1, got {executions}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    # One chained comparison, which NaN fails too: line 2 calls this once
+    # per task per candidate.
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
     setup = executions * task.wcet if assume_full_wcet else 0.0
     return max(_floor((horizon - setup) / task.period) + 1, 0)
 

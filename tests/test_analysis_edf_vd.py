@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.edf_vd import (
     analyse,
+    edf_vd_loads,
     edf_vd_schedulable,
     edf_vd_utilization,
     edf_vd_x,
@@ -97,6 +98,44 @@ class TestEDFVD:
             for n in (1, 2, 3)
         ]
         assert values == sorted(values)
+
+
+class TestEdfVdLoads:
+    """The one evaluation of eq. (10)'s and eq. (12)'s two loads."""
+
+    def test_eq10_by_hand(self):
+        lo_mode, hi_mode, x = edf_vd_loads(0.2, 0.4, 0.3)
+        assert (lo_mode, x) == (0.2 + 0.3, 0.2 / (1.0 - 0.3))
+        assert hi_mode == 0.4 + x * 0.3
+
+    def test_eq12_by_hand(self):
+        lo_mode, hi_mode, lam = edf_vd_loads(0.2, 0.4, 0.3, 6.0)
+        assert (lo_mode, lam) == (0.2 + 0.3, 0.2 / (1.0 - 0.3))
+        assert hi_mode == 0.4 / (1.0 - lam) + 0.3 / (6.0 - 1.0)
+
+    @pytest.mark.parametrize("df", [None, 6.0])
+    def test_full_lo_load_leaves_x_undefined(self, df):
+        assert edf_vd_loads(0.1, 0.1, 1.0, df) == (1.1, math.inf, None)
+
+    def test_saturated_lambda_makes_hi_mode_infinite(self):
+        lo_mode, hi_mode, lam = edf_vd_loads(0.7, 0.7, 0.3, 6.0)
+        assert lam >= 1.0 and math.isinf(hi_mode)
+        assert math.isfinite(edf_vd_loads(0.7, 0.7, 0.3)[1])
+
+    @pytest.mark.parametrize(
+        "u", [(0.2, 0.4, 0.3), (0.7, 0.7, 0.3), (0.1, 0.1, 1.0)]
+    )
+    def test_both_analyses_report_these_loads(self, u):
+        mc = _mc(*u)
+        loads = (mc.u_hi_lo, mc.u_hi_hi, mc.u_lo_lo)
+        kill = analyse(mc)
+        assert edf_vd_loads(*loads) == (
+            kill.lo_mode_load, kill.hi_mode_load, kill.x
+        )
+        degrade = analyse_degradation(mc, 6.0)
+        assert edf_vd_loads(*loads, 6.0) == (
+            degrade.lo_mode_load, degrade.hi_mode_load, degrade.lam
+        )
 
 
 class TestEDFVDDegradation:

@@ -20,8 +20,8 @@ class TestParser:
             build_parser().parse_args(["fig9"])
 
     def test_defaults(self):
-        """A flag left out is not passed on: ``run_fig3`` keeps its own
-        defaults, so the namespace holds none of them."""
+        """A flag left out is not passed on: the fig3 campaign keeps its
+        own defaults, so the namespace holds none of them."""
         args = build_parser().parse_args(["fig3"])
         for name in ("sets_per_point", "seed", "panels",
                      "failure_probabilities", "utilizations"):
@@ -134,21 +134,11 @@ class TestVerbParsers:
     @pytest.mark.parametrize(
         "argv, module, function, expected",
         [
-            (["fig3"], "repro.experiments.fig3", "run_fig3", {}),
-            (["fig3", "--sets", "700", "--seed", "4", "--panels", "b"],
-             "repro.experiments.fig3", "run_fig3",
-             {"sets_per_point": 700, "seed": 4, "panels": ["b"]}),
             (["backends"], "repro.experiments.backend_comparison",
              "run_backend_comparison", {}),
             (["backends", "--sets", "300"],
              "repro.experiments.backend_comparison",
              "run_backend_comparison", {"sets_per_point": 300}),
-            (["validate"], "repro.experiments.validation_campaign",
-             "run_validation_campaign", {"mechanism": "kill"}),
-            (["validate", "--sets", "60", "--seed", "2"],
-             "repro.experiments.validation_campaign",
-             "run_validation_campaign",
-             {"mechanism": "kill", "sets_per_point": 60, "seed": 2}),
             (["sensitivity", "--sets", "300"],
              "repro.experiments.sensitivity", "sweep_p_hi",
              {"sets_per_point": 300}),
@@ -169,6 +159,40 @@ class TestVerbParsers:
         with pytest.raises(Called) as called:
             main(argv)
         assert called.value.args[0] == expected
+
+    @pytest.mark.parametrize(
+        "argv, experiment, given",
+        [
+            (["fig3"], "fig3", {}),
+            (["fig3", "--sets", "700", "--seed", "4", "--panels", "b"],
+             "fig3", {"sets_per_point": 700, "seed": 4, "panels": ["b"]}),
+            (["fig3", "--failure-probabilities", "1e-4",
+              "--utilizations", "0.5", "0.6"],
+             "fig3", {"failure_probabilities": [1e-4],
+                      "utilizations": [0.5, 0.6]}),
+            (["validate"], "validation", {}),
+            (["validate", "--sets", "60", "--seed", "2"],
+             "validation", {"sets_per_point": 60, "seed": 2}),
+        ],
+    )
+    def test_only_given_flags_reach_the_campaign(self, argv, experiment,
+                                                 given, monkeypatch):
+        """The in-process verbs run their campaign on its own options,
+        with only the flags given changed."""
+        import repro.runner.campaigns
+        from repro.runner import get_campaign
+
+        class Called(Exception):
+            pass
+
+        def record(*args):
+            raise Called(*args)
+
+        monkeypatch.setattr(repro.runner.campaigns, "run_inline", record)
+        with pytest.raises(Called) as called:
+            main(argv)
+        options = dict(get_campaign(experiment).default_options(), **given)
+        assert called.value.args == (experiment, options)
 
     def test_campaign_help_names_every_campaign(self, capsys):
         from repro.runner import campaign_names
@@ -583,7 +607,63 @@ class TestSelfcheckCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+#: Each grid flag with a value, the option it sets, and the campaigns
+#: that read it; every other campaign refuses it.
+CAMPAIGN_FLAGS = {
+    "--sets": (["--sets", "3"], "sets_per_point", 3,
+               {"fig3", "validation", "multicore"}),
+    "--seed": (["--seed", "9"], "seed", 9, {"fig3", "validation", "multicore"}),
+    "--panels": (["--panels", "b"], "panels", ["b"], {"fig3"}),
+    "--failure-probabilities": (["--failure-probabilities", "1e-4"],
+                                "failure_probabilities", [1e-4], {"fig3"}),
+    "--utilizations": (["--utilizations", "0.5"], "utilizations", [0.5],
+                       {"fig3", "validation"}),
+}
+
+
 class TestCampaignCommand:
+    @pytest.mark.parametrize("flag", list(CAMPAIGN_FLAGS))
+    @pytest.mark.parametrize(
+        "experiment",
+        ["fig1", "fig2", "fig3", "tables", "validation", "multicore"],
+    )
+    def test_flag_is_read_or_refused(self, experiment, flag, tmp_path,
+                                     capsys, monkeypatch):
+        """A flag the experiment reads sets its option; any other is a
+        usage error, before a directory is made or a shard runs."""
+        import repro.runner
+        from repro.runner import get_campaign
+
+        monkeypatch.chdir(tmp_path)
+        argv, key, value, readers = CAMPAIGN_FLAGS[flag]
+        seen = {}
+
+        class Report:
+            exit_code = 0
+
+            def render(self):
+                return "done"
+
+        def run_campaign(target, options, **kwargs):
+            seen.update(options)
+            return Report()
+
+        monkeypatch.setattr(repro.runner, "run_campaign", run_campaign)
+        if experiment in readers:
+            assert main(["campaign", experiment, *argv]) == 0
+            expected = get_campaign(experiment).default_options()
+            assert seen == dict(expected, **{key: value})
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", experiment, *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ftmc campaign ")
+        line = _one_error_line(err, "ftmc campaign")
+        assert f"campaign {experiment!r} does not read {flag}" in line
+        assert seen == {}
+        assert list(tmp_path.iterdir()) == []
+
     def test_parser_accepts_campaign_knobs(self):
         args = build_parser().parse_args(
             ["campaign", "fig1", "--chaos", "42", "--resume",

@@ -1,27 +1,42 @@
-"""Tests for the figure reproduction drivers (Figs. 1, 2, 3)."""
+"""Tests for the figure reproductions (Figs. 1, 2, 3), run in-process
+through their campaign definitions."""
 
 import math
 
 import pytest
 
-from repro.experiments.fig1 import render_fig1, run_fig1
-from repro.experiments.fig2 import render_fig2, run_fig2
-from repro.experiments.fig3 import (
-    FIG3_PANELS,
-    render_fig3_panel,
-    run_fig3,
-    run_fig3_panel,
-)
+from repro.experiments.fig1 import render_fig1
+from repro.experiments.fig2 import render_fig2
+from repro.experiments.fig3 import FIG3_PANELS, render_fig3_panel
+from repro.runner import build_options, run_inline
 
 
 @pytest.fixture(scope="module")
 def fig1_result():
-    return run_fig1()
+    [result] = run_inline("fig1")
+    return result
 
 
 @pytest.fixture(scope="module")
 def fig2_result():
-    return run_fig2()
+    [result] = run_inline("fig2")
+    return result
+
+
+def fig3_panel(panel, f, utilizations, sets_per_point, seed=0):
+    """One Fig. 3 series: the fig3 campaign on one panel and one ``f``."""
+    [result] = run_inline(
+        "fig3",
+        build_options(
+            "fig3",
+            seed=seed,
+            sets=sets_per_point,
+            panels=[panel],
+            failure_probabilities=[f],
+            utilizations=list(utilizations),
+        ),
+    )
+    return result
 
 
 class TestFig1:
@@ -104,18 +119,14 @@ class TestFig3:
     UTILIZATIONS = (0.5, 0.8, 1.0)
 
     def test_panel_a_adaptation_widens_region(self):
-        result = run_fig3_panel(
-            FIG3_PANELS["a"], 1e-5, self.UTILIZATIONS, sets_per_point=40
-        )
+        result = fig3_panel("a", 1e-5, self.UTILIZATIONS, sets_per_point=40)
         without = result.column("acceptance_without")
         with_adapt = result.column("acceptance_with")
         assert all(w >= wo for w, wo in zip(with_adapt, without))
         assert sum(with_adapt) > sum(without)
 
     def test_panel_b_killing_rarely_helps(self):
-        result = run_fig3_panel(
-            FIG3_PANELS["b"], 1e-5, self.UTILIZATIONS, sets_per_point=40
-        )
+        result = fig3_panel("b", 1e-5, self.UTILIZATIONS, sets_per_point=40)
         gaps = [
             w - wo
             for w, wo in zip(
@@ -127,8 +138,8 @@ class TestFig3:
 
     def test_panel_d_degradation_helps_with_lo_c(self):
         util = (0.4, 0.5)
-        kill = run_fig3_panel(FIG3_PANELS["b"], 1e-5, util, sets_per_point=40)
-        degrade = run_fig3_panel(FIG3_PANELS["d"], 1e-5, util, sets_per_point=40)
+        kill = fig3_panel("b", 1e-5, util, sets_per_point=40)
+        degrade = fig3_panel("d", 1e-5, util, sets_per_point=40)
         kill_gain = sum(kill.column("acceptance_with")) - sum(
             kill.column("acceptance_without")
         )
@@ -139,27 +150,29 @@ class TestFig3:
 
     def test_smaller_f_improves_acceptance(self):
         util = (0.5, 0.7)
-        coarse = run_fig3_panel(FIG3_PANELS["a"], 1e-3, util, sets_per_point=40)
-        fine = run_fig3_panel(FIG3_PANELS["a"], 1e-5, util, sets_per_point=40)
+        coarse = fig3_panel("a", 1e-3, util, sets_per_point=40)
+        fine = fig3_panel("a", 1e-5, util, sets_per_point=40)
         assert sum(fine.column("acceptance_with")) >= sum(
             coarse.column("acceptance_with")
         )
 
     def test_acceptance_decreases_with_utilization(self):
-        result = run_fig3_panel(
-            FIG3_PANELS["a"], 1e-5, (0.4, 0.7, 1.0, 1.2), sets_per_point=40
-        )
+        result = fig3_panel("a", 1e-5, (0.4, 0.7, 1.0, 1.2), sets_per_point=40)
         series = result.column("acceptance_with")
         assert series[0] >= series[-1]
 
-    def test_run_fig3_collects_all_requested(self):
-        results = run_fig3(
-            panels=("a",),
-            failure_probabilities=(1e-5,),
-            utilizations=(0.5,),
-            sets_per_point=5,
+    def test_campaign_collects_all_requested(self):
+        results = run_inline(
+            "fig3",
+            build_options(
+                "fig3",
+                sets=5,
+                panels=["a"],
+                failure_probabilities=[1e-5],
+                utilizations=[0.5],
+            ),
         )
-        assert set(results) == {"a-f1e-05"}
+        assert [r.name for r in results] == ["fig3a-f1e-05"]
 
     def test_sweep_keys_no_verdicts(self):
         """Fig. 3 never asks a question twice, so it memoizes no verdict:
@@ -178,22 +191,21 @@ class TestFig3:
             fig3_point(panel, 1e-3, 9, 0.85, sets_per_point=10)
             for panel in FIG3_PANELS.values()
         ]
-        results = run_fig3(utilizations=(0.8, 1.0), sets_per_point=5)
+        results = run_inline(
+            "fig3", build_options("fig3", sets=5, utilizations=[0.8, 1.0])
+        )
         assert schedulability_cache_info() == {"hits": 0, "misses": 0}
         # FT-S did run: adaptation accepted sets the baseline rejected.
         assert any(with_ > without for _, without, with_, _ in rows)
         assert len(results) == 8
 
     def test_determinism(self):
-        a = run_fig3_panel(FIG3_PANELS["a"], 1e-5, (0.7,), sets_per_point=25,
-                           seed=4)
-        b = run_fig3_panel(FIG3_PANELS["a"], 1e-5, (0.7,), sets_per_point=25,
-                           seed=4)
+        a = fig3_panel("a", 1e-5, (0.7,), sets_per_point=25, seed=4)
+        b = fig3_panel("a", 1e-5, (0.7,), sets_per_point=25, seed=4)
         assert a.rows == b.rows
 
     def test_render(self):
-        result = run_fig3_panel(FIG3_PANELS["a"], 1e-5, (0.5, 0.9),
-                                sets_per_point=10)
+        result = fig3_panel("a", 1e-5, (0.5, 0.9), sets_per_point=10)
         text = render_fig3_panel(result)
         assert "acceptance ratio" in text
         assert "legend" in text

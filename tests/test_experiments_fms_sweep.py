@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.experiments.fms_sweep import adaptation_sweep, u_mc_degrade, u_mc_kill
+from repro.experiments.fms_sweep import sweep_point, u_mc_degrade, u_mc_kill
 from repro.model.criticality import CriticalityRole
+from repro.runner import build_options, run_inline
 
 
 class TestUMcKill:
@@ -53,27 +54,29 @@ class TestUMcDegrade:
         assert math.isinf(u_mc_degrade(fms, 3, 2, 30, 6.0))
 
 
-class TestAdaptationSweep:
+class TestSweep:
+    """``sweep_point`` and the fig1 campaign that sweeps it over ``n'``."""
+
     def test_rejects_unknown_mechanism(self, fms):
         with pytest.raises(ValueError, match="mechanism"):
-            adaptation_sweep(fms, "pause", 10.0)
+            sweep_point(fms, "pause", 1, 10.0)
 
     def test_degrade_requires_factor(self, fms):
         with pytest.raises(ValueError, match="factor"):
-            adaptation_sweep(fms, "degrade", 10.0)
+            sweep_point(fms, "degrade", 1, 10.0)
 
-    def test_hypothetical_points_flagged(self, fms):
-        result = adaptation_sweep(
-            fms, "kill", 10.0, n_prime_max=5, name="x", description="d"
+    def test_hypothetical_points_flagged(self):
+        [result] = run_inline(
+            "fig1", dict(build_options("fig1"), n_prime_max=5)
         )
         flags = dict(zip(result.column("n_prime"),
                          result.column("hypothetical")))
         assert not flags[3]  # n_HI = 3 is still real
         assert flags[4] and flags[5]
 
-    def test_custom_range(self, fms):
-        result = adaptation_sweep(
-            fms, "kill", 10.0, n_prime_max=2, name="x", description="d"
+    def test_custom_range(self):
+        [result] = run_inline(
+            "fig1", dict(build_options("fig1"), n_prime_max=2)
         )
         assert result.column("n_prime") == [1, 2]
 
@@ -90,4 +93,4 @@ class TestAdaptationSweep:
             DualCriticalitySpec.from_names("A", "E"),
         )
         with pytest.raises(ValueError, match="ceilings"):
-            adaptation_sweep(hopeless, "kill", 10.0)
+            sweep_point(hopeless, "kill", 1, 10.0)

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.experiments.multicore_sweep import (
     MULTICORE_COLUMNS,
     multicore_point,
     render_multicore,
-    run_multicore_sweep,
 )
-from repro.runner import build_options, run_campaign
+from repro.runner import build_options, run_campaign, run_inline
 
 
 def fast_options():
@@ -44,8 +41,10 @@ class TestMulticorePoint:
 
 class TestMulticoreSweep:
     def test_sweep_and_render(self):
-        result = run_multicore_sweep(
-            cores=(1, 2), sets_per_point=3, max_nodes=1000
+        [result] = run_inline(
+            "multicore",
+            dict(build_options("multicore", sets=3), cores=[1, 2],
+                 max_nodes=1000),
         )
         assert result.name == "multicore"
         assert list(result.column("m")) == [1, 2]
@@ -62,13 +61,6 @@ class TestMulticoreCampaign:
             timeout=120.0,
             **kwargs,
         )
-
-    def test_campaign_matches_in_process_sweep(self, tmp_path):
-        report = self._run(tmp_path, "out")
-        assert report.exit_code == 0
-        written = json.loads((tmp_path / "out" / "multicore.json").read_text())
-        direct = run_multicore_sweep(cores=(1, 2), sets_per_point=4)
-        assert written == json.loads(json.dumps(direct.to_dict()))
 
     def test_jobs_byte_identical_to_serial(self, tmp_path):
         self._run(tmp_path, "serial")

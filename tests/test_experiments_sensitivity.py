@@ -66,6 +66,13 @@ class TestOperationHoursSweep:
         assert kills == sorted(kills)
         assert degrades == sorted(degrades)
 
+    def test_killing_bound_grows_about_linearly(self, sweep):
+        """The 10 h killing bound is ~10x the 1 h one (9.99 committed)."""
+        hours = sweep.column("os_hours")
+        kills = sweep.column("pfh_lo_killing")
+        assert (hours[0], hours[-1]) == (1.0, 10.0)
+        assert 8.0 < kills[-1] / kills[0] < 12.0
+
     def test_killing_dominates_degradation_at_every_os(self, sweep):
         for kill, degrade in zip(
             sweep.column("pfh_lo_killing"), sweep.column("pfh_lo_degradation")

@@ -63,6 +63,7 @@ class TestTable1:
         assert ceilings["B"] == 1e-7
         assert ceilings["C"] == 1e-5
         assert math.isinf(ceilings["D"])
+        assert math.isinf(ceilings["E"])
 
 
 class TestTable2:

@@ -2,19 +2,28 @@
 
 import pytest
 
-from repro.experiments.validation_campaign import run_validation_campaign
+from repro.runner import build_options, run_inline
+
+
+def campaign(mechanism="kill", **options):
+    """The validation campaign in-process, on one mechanism."""
+    [result] = run_inline(
+        "validation",
+        dict(build_options("validation"), mechanisms=[mechanism], **options),
+    )
+    return result
 
 
 class TestValidationCampaign:
     @pytest.mark.parametrize("mechanism", ["kill", "degrade"])
     def test_every_accepted_system_validates(self, mechanism):
         """The core soundness claim: accepted == validated everywhere."""
-        result = run_validation_campaign(
-            utilizations=(0.6, 0.8),
+        result = campaign(
+            mechanism,
+            utilizations=[0.6, 0.8],
             sets_per_point=8,
             runs_per_set=2,
             horizon=60_000.0,
-            mechanism=mechanism,
         )
         for accepted, validated, misses in zip(
             result.column("accepted"),
@@ -25,8 +34,8 @@ class TestValidationCampaign:
             assert misses == 0
 
     def test_some_systems_accepted(self):
-        result = run_validation_campaign(
-            utilizations=(0.5,), sets_per_point=10, runs_per_set=1,
+        result = campaign(
+            utilizations=[0.5], sets_per_point=10, runs_per_set=1,
             horizon=30_000.0,
         )
         assert result.column("accepted")[0] > 0
@@ -34,15 +43,15 @@ class TestValidationCampaign:
     def test_mode_switches_exercised(self):
         """At the inflated fault rate, some runs must actually switch —
         otherwise the campaign would not stress HI mode at all."""
-        result = run_validation_campaign(
-            utilizations=(0.7, 0.9), sets_per_point=10, runs_per_set=3,
+        result = campaign(
+            utilizations=[0.7, 0.9], sets_per_point=10, runs_per_set=3,
             horizon=120_000.0, probability_scale=2000.0,
         )
         assert sum(result.column("mode_switch_runs")) > 0
 
     def test_rejects_unknown_mechanism(self):
         with pytest.raises(ValueError, match="mechanism"):
-            run_validation_campaign(mechanism="pause")
+            campaign("pause")
 
     def test_cli_validate_exit_code(self, capsys):
         from repro.cli import main

@@ -29,11 +29,12 @@ from repro.core import profiles as profiles_module
 from repro.core.backends import backend_names, make_backend
 from repro.core.ftmc import ft_accepts, ft_schedule
 from repro.core.profiles import LoPfh, minimal_reexecution_profiles, pfh_lo_adapted
-from repro.experiments.fig3 import FIG3_PANELS, accept_in_paper_order, run_fig3
+from repro.experiments.fig3 import FIG3_PANELS, accept_in_paper_order
 from repro.gen.taskset import PAPER_CONFIG, generate_taskset
 from repro.model.criticality import CriticalityRole, DualCriticalitySpec
 from repro.model.faults import AdaptationProfile, ReexecutionProfile
 from repro.model.task import Task, TaskSet
+from repro.runner import build_options, run_inline
 from repro.safety.killing import (
     pfh_lo_killing,
     pfh_lo_killing_bounds,
@@ -124,10 +125,13 @@ class TestFig3PaperOrderOracle:
         utilizations = (0.5, 0.8, 0.95)
         sets, seed = 4, 3
         rows = {
-            key: r.rows
-            for key, r in run_fig3(
-                utilizations=utilizations, sets_per_point=sets, seed=seed
-            ).items()
+            r.name: r.rows
+            for r in run_inline(
+                "fig3",
+                build_options(
+                    "fig3", seed=seed, sets=sets, utilizations=utilizations
+                ),
+            )
         }
         expected = {}
         for key, panel in FIG3_PANELS.items():
@@ -157,13 +161,13 @@ class TestFig3PaperOrderOracle:
                             sets,
                         )
                     )
-                expected[f"{key}-f{f:g}"] = series
+                expected[f"fig3{key}-f{f:g}"] = series
         assert rows == expected
         # Not vacuous: adaptation must win sets on a LO=C panel, where the
         # verdict rests on the pfh(LO) check at n2_HI.
         assert any(
             with_ > without
-            for _, without, with_, _ in rows["d-f1e-05"]
+            for _, without, with_, _ in rows["fig3d-f1e-05"]
         )
 
 

@@ -311,6 +311,20 @@ class TestChaosInjector:
         assert path.read_bytes() == before
 
 
+#: Each ``build_options`` knob: a value, the option it sets (converted),
+#: its flag, and the campaigns that read it; the others refuse it.
+KNOBS = {
+    "seed": ("3", "seed", 3, "--seed", {"fig3", "validation", "multicore"}),
+    "sets": (7.0, "sets_per_point", 7, "--sets",
+             {"fig3", "validation", "multicore"}),
+    "panels": (("a", "c"), "panels", ["a", "c"], "--panels", {"fig3"}),
+    "failure_probabilities": ((1e-4,), "failure_probabilities", [1e-4],
+                              "--failure-probabilities", {"fig3"}),
+    "utilizations": ([1, 0.5], "utilizations", [1.0, 0.5], "--utilizations",
+                     {"fig3", "validation"}),
+}
+
+
 class TestCampaignDefinitions:
     def test_registry_names(self):
         assert campaign_names() == ["fig1", "fig2", "fig3", "tables",
@@ -379,9 +393,24 @@ class TestCampaignDefinitions:
     def test_build_options_passes_validation_sets_through(self):
         assert build_options("validation", sets=500)["sets_per_point"] == 500
 
-    def test_build_options_ignores_inapplicable_knobs(self):
-        options = build_options("tables", seed=3, sets=100)
-        assert options == {"tables": ["table1", "table2", "table3", "table4"]}
+    def test_build_options_refuses_inapplicable_knobs(self):
+        with pytest.raises(ValueError,
+                           match="campaign 'tables' does not read --seed"):
+            build_options("tables", seed=3, sets=100)
+
+    @pytest.mark.parametrize("knob", list(KNOBS))
+    @pytest.mark.parametrize("name", list(CAMPAIGNS))
+    def test_build_options_reads_or_refuses_each_knob(self, name, knob):
+        value, key, converted, flag, readers = KNOBS[knob]
+        if name not in readers:
+            with pytest.raises(ValueError,
+                               match=f"campaign '{name}' does not read {flag}$"):
+                build_options(name, **{knob: value})
+            return
+        options = build_options(name, **{knob: value})
+        expected = dict(get_campaign(name).default_options(), **{key: converted})
+        assert options == expected
+        assert type(options[key]) is type(converted)
 
 
 class TestWorkerDelay:

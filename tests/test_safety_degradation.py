@@ -68,10 +68,13 @@ class TestOmega:
         with pytest.raises(ValueError, match="degradation factor"):
             omega(hi_only, reexecution, math.nan, 10.0)
 
-    def test_rejects_nan_horizon(self, example31):
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_horizon(self, example31, horizon):
         reexecution = ReexecutionProfile.uniform(example31, 3, 2)
-        with pytest.raises(ValueError, match="horizon must be non-negative"):
-            omega(example31, reexecution, 6.0, math.nan)
+        with pytest.raises(
+            ValueError, match="horizon must be non-negative and finite"
+        ):
+            omega(example31, reexecution, 6.0, horizon)
 
 
 class TestPfhLoDegradation:

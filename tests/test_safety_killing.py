@@ -110,6 +110,41 @@ class TestSurvivalProbability:
             kill_probability(example31, example31_adaptation, -1.0)
 
 
+#: Each function of eqs. (1), (3) and (4) that takes a horizon ``t``, as
+#: a call on the single-HI-task set.
+_HORIZON_FUNCTIONS = {
+    "survival_probability": lambda ts, t: survival_probability(
+        ts, AdaptationProfile({"hi": 1}), t),
+    "survival_probability_at": lambda ts, t: survival_probability_at(
+        ts, AdaptationProfile({"hi": 1}), [HOUR_MS, t]),
+    "kill_probability": lambda ts, t: kill_probability(
+        ts, AdaptationProfile({"hi": 1}), t),
+    "max_rounds": lambda ts, t: max_rounds(ts.lo_tasks[0], 2, t),
+    "timing_points": lambda ts, t: timing_points(ts.lo_tasks[0], 2, t),
+    "timing_point_count": lambda ts, t: timing_point_count(
+        ts.lo_tasks[0], 2, t),
+}
+
+
+class TestHorizonMustBeFinite:
+    """A NaN horizon once gave NaN, an infinite one 0.0 or an
+    ``OverflowError``; each is now refused with one message."""
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("function", list(_HORIZON_FUNCTIONS))
+    def test_refused(self, function, horizon):
+        with pytest.raises(
+            ValueError,
+            match=f"^horizon must be non-negative and finite, got {horizon}$",
+        ):
+            _HORIZON_FUNCTIONS[function](_single_hi_set(), horizon)
+
+    @pytest.mark.parametrize("function", list(_HORIZON_FUNCTIONS))
+    def test_zero_and_finite_accepted(self, function):
+        for horizon in (0.0, HOUR_MS):
+            _HORIZON_FUNCTIONS[function](_single_hi_set(), horizon)
+
+
 class TestKillProbabilityOracle:
     """``1 - R`` of eq. (3) against a 60-digit ``decimal`` evaluation with
     the same eq. (1) rounds.
