@@ -254,5 +254,18 @@ def schedulable_without_adaptation(
     scheduled by plain EDF: schedulable iff the inflated workload passes
     the (exact) EDF test.  This is the reference against which Figs. 3a-3d
     measure the benefit of task killing / service degradation.
+
+    An implicit-deadline set (the Fig. 3 generator's) is decided by the
+    utilization bound over ``(n_i C_i) / T_i``, the sum
+    :func:`edf_utilization_test` forms over :func:`inflated_workload`,
+    without building the workload.  A non-finite sum and every other set
+    take ``edf_schedulable(inflated_workload(...))``, which raises
+    ``inflated_workload``'s message for an ``n_i C_i`` that overflows.
     """
+    reexecution.validate_for(taskset)
+    tasks = taskset.tasks
+    if tasks and all(math.isclose(t.deadline, t.period) for t in tasks):
+        utilization = sum((reexecution[t] * t.wcet) / t.period for t in tasks)
+        if math.isfinite(utilization):
+            return not utilization_exceeds(utilization)
     return edf_schedulable(inflated_workload(taskset, reexecution))

@@ -39,6 +39,7 @@ from repro.analysis.edf_vd_degradation import (
 from repro.analysis.edf import schedulable_without_adaptation
 from repro.analysis.tolerance import utilization_exceeds
 from repro.core.conversion import check_uniform_series
+from repro.model.criticality import CriticalityRole
 from repro.model.faults import ReexecutionProfile
 from repro.model.mc_task import MCTaskSet
 from repro.model.task import TaskSet
@@ -208,24 +209,30 @@ def _edf_vd_uniform_series(
     ``(n * wcet) / period`` in task order — evaluated here with the same
     float operations in the same order as the materialised path, and both
     take their loads from :func:`~repro.analysis.edf_vd.edf_vd_loads`,
-    making the verdicts bit-identical.  ``U_LO^LO`` and ``U_HI^HI`` are
-    candidate-independent and hoisted out of the scan; only ``U_HI^LO``
-    is recomputed, per candidate, as the returned iterator is consumed.
+    making the verdicts bit-identical.  Each task's ``(C, T)`` is read
+    once; ``U_LO^LO`` and ``U_HI^HI`` are candidate-independent and
+    hoisted out of the scan; only ``U_HI^LO`` is recomputed, per
+    candidate, as the returned iterator is consumed.
     """
     n_primes = list(n_primes)
     if not n_primes:
         return iter(())
     check_uniform_series(taskset, n_hi, n_lo, n_primes)
-    # analyse() would reject the first converted candidate; fail up front.
-    if not all(math.isclose(t.deadline, t.period) for t in taskset):
-        raise ValueError("EDF-VD analysis requires implicit deadlines")
-    hi_tasks = taskset.hi_tasks
-    lo_tasks = taskset.lo_tasks
-    u_lo_lo = sum((n_lo * t.wcet) / t.period for t in lo_tasks)
-    u_hi_hi = sum((n_hi * t.wcet) / t.period for t in hi_tasks)
+    hi: list[tuple[float, float]] = []
+    lo: list[tuple[float, float]] = []
+    for t in taskset:
+        # analyse() would reject the first converted candidate; fail up
+        # front.
+        if not math.isclose(t.deadline, t.period):
+            raise ValueError("EDF-VD analysis requires implicit deadlines")
+        (hi if t.criticality is CriticalityRole.HI else lo).append(
+            (t.wcet, t.period)
+        )
+    u_lo_lo = sum((n_lo * wcet) / period for wcet, period in lo)
+    u_hi_hi = sum((n_hi * wcet) / period for wcet, period in hi)
 
     def verdict_at(n_prime: int) -> bool:
-        u_hi_lo = sum((n_prime * t.wcet) / t.period for t in hi_tasks)
+        u_hi_lo = sum((n_prime * wcet) / period for wcet, period in hi)
         lo_mode, hi_mode, _ = edf_vd_loads(
             u_hi_lo, u_hi_hi, u_lo_lo, degradation_factor
         )

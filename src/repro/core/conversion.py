@@ -110,22 +110,28 @@ def convert_uniform(
 
 def check_uniform_series(
     taskset: TaskSet, n_hi: int, n_lo: int, n_primes: Sequence[int]
-) -> ReexecutionProfile:
-    """Check every ``n'`` of a series as :func:`convert_uniform` would.
+) -> None:
+    """Check ``(n_HI, n_LO)`` and every ``n'`` of a series as
+    :func:`convert_uniform` would.
 
     Raises ``convert_uniform``'s exception and message for the first
-    candidate it refuses; returns the uniform re-execution profile.  A
-    candidate passes on one ``type(n) is int`` test and ``1 <= n' <=
-    n_hi``; only one that fails it builds an :class:`AdaptationProfile`,
-    whose checks then raise (or accept it, when no HI task receives it).
+    value it refuses.  Counts that are all ints of at least 1, with no
+    ``n'`` above ``n_hi``, pass on those tests alone and build nothing.
+    Otherwise the uniform :class:`ReexecutionProfile` is built, and each
+    candidate that fails ``type(n) is int`` and ``1 <= n' <= n_hi`` an
+    :class:`AdaptationProfile`, whose checks then raise (or accept the
+    value, when no task receives it).
     """
+    if all(type(n) is int and n >= 1 for n in (n_hi, n_lo, *n_primes)) and (
+        max(n_primes, default=1) <= n_hi
+    ):
+        return
     reexecution = ReexecutionProfile.uniform(taskset, n_hi, n_lo)
     for n_prime in n_primes:
         if type(n_prime) is not int or not 1 <= n_prime <= n_hi:
             AdaptationProfile.uniform(taskset, n_prime).validate_for(
                 taskset, reexecution
             )
-    return reexecution
 
 
 def convert_uniform_series(
@@ -145,7 +151,7 @@ def convert_uniform_series(
     n_primes = list(n_primes)
     if not n_primes:
         return
-    reexecution = check_uniform_series(taskset, n_hi, n_lo, n_primes)
+    check_uniform_series(taskset, n_hi, n_lo, n_primes)
     name = f"{taskset.name}/converted"
     hi_slots: list[tuple[int, Task]] = []
     template: list[MCTask | None] = []
@@ -154,7 +160,7 @@ def convert_uniform_series(
             hi_slots.append((index, task))
             template.append(None)
         else:
-            budget = reexecution[task] * task.wcet
+            budget = n_lo * task.wcet
             template.append(_converted(task, budget, budget))
     for n_prime in n_primes:
         mc_tasks = list(template)

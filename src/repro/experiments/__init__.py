@@ -5,41 +5,14 @@ runs through one loop, its campaign definition in
 :mod:`repro.runner.campaigns`:
 ``repro.runner.run_inline("fig1")`` runs it in-process, and
 ``repro.runner.run_campaign`` shards it.
+
+The names below resolve on first use, from their home modules, so
+importing one experiment module (``repro.experiments.fig3``) loads no
+other; ``overhead_study``, which loads :mod:`repro.sim`, loads only for
+its own callers.
 """
 
-from repro.experiments.ascii_chart import line_chart
-from repro.experiments.backend_comparison import (
-    render_backend_comparison,
-    run_backend_comparison,
-)
-from repro.experiments.fig1 import render_fig1
-from repro.experiments.fig2 import render_fig2
-from repro.experiments.fig3 import (
-    DEFAULT_FAILURE_PROBABILITIES,
-    DEFAULT_UTILIZATIONS,
-    FIG3_PANELS,
-    PanelConfig,
-    render_fig3_panel,
-)
-from repro.experiments.fms_sweep import (
-    render_sweep_chart,
-    u_mc_degrade,
-    u_mc_kill,
-)
-from repro.experiments.results import ExperimentResult
-from repro.experiments.sensitivity import (
-    sweep_degradation_factor,
-    sweep_operation_hours,
-    sweep_p_hi,
-)
-from repro.experiments.overhead_study import run_overhead_study
-from repro.experiments.tables import (
-    example31_taskset,
-    table1,
-    table2_example31,
-    table3_example41,
-    table4_fms,
-)
+import importlib
 
 __all__ = [
     "line_chart",
@@ -66,3 +39,37 @@ __all__ = [
     "table3_example41",
     "table4_fms",
 ]
+
+#: Each exported name's home module in this package.
+_HOMES = {
+    "line_chart": "ascii_chart",
+    "render_backend_comparison": "backend_comparison",
+    "run_backend_comparison": "backend_comparison",
+    "render_fig1": "fig1",
+    "render_fig2": "fig2",
+    "DEFAULT_FAILURE_PROBABILITIES": "fig3",
+    "DEFAULT_UTILIZATIONS": "fig3",
+    "FIG3_PANELS": "fig3",
+    "PanelConfig": "fig3",
+    "render_fig3_panel": "fig3",
+    "render_sweep_chart": "fms_sweep",
+    "u_mc_degrade": "fms_sweep",
+    "u_mc_kill": "fms_sweep",
+    "ExperimentResult": "results",
+    "sweep_degradation_factor": "sensitivity",
+    "sweep_operation_hours": "sensitivity",
+    "sweep_p_hi": "sensitivity",
+    "run_overhead_study": "overhead_study",
+    "example31_taskset": "tables",
+    "table1": "tables",
+    "table2_example31": "tables",
+    "table3_example41": "tables",
+    "table4_fms": "tables",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

@@ -128,10 +128,11 @@ def fig3_point_tasksets(
 ) -> list[TaskSet]:
     """The task sets of one data point, as :func:`fig3_point` draws them."""
     config = replace(generator, failure_probability=failure_probability)
+    spec = panel.spec
     return [
         generate_taskset(
             utilization,
-            panel.spec,
+            spec,
             np.random.default_rng(
                 [seed, point_index, set_index, int(failure_probability * 1e9)]
             ),

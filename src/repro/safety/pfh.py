@@ -72,8 +72,7 @@ def max_rounds(
     """
     if executions < 1:
         raise ValueError(f"executions must be >= 1, got {executions}")
-    # One chained comparison, which NaN fails too: line 2 calls this once
-    # per task per candidate.
+    # One chained comparison, which NaN fails too.
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be non-negative and finite, got {horizon}")
     setup = executions * task.wcet if assume_full_wcet else 0.0
@@ -139,7 +138,11 @@ def minimal_uniform_reexecution(
     infinite ceiling (levels D/E) the result is always 1 (given
     ``max_n >= 1``), answered without evaluating eq. (2).
     """
-    tasks = taskset.by_criticality(role)
+    tasks = [
+        (t.period, t.wcet, t.failure_probability)
+        for t in taskset
+        if t.criticality is role
+    ]
     if not tasks:
         return 1
     if math.isinf(pfh_ceiling) and pfh_ceiling > 0:
@@ -148,10 +151,17 @@ def minimal_uniform_reexecution(
         return 1 if max_n >= 1 else None
     # One loop on every kernel tier: it stops at the first n that meets the
     # ceiling (usually 2-4), where a (max_n, tasks) matrix would price all
-    # max_n candidates.
+    # max_n candidates.  Each candidate is pfh_of_tasks at the constant
+    # profile n, term for term and summed with += in task order, so the
+    # values are bit-identical; it builds no profile and repeats none of
+    # max_rounds' and round_failure_probability's checks, which checked
+    # tasks and n >= 1 pass.
     for n in range(1, max_n + 1):
-        profile = ReexecutionProfile.constant(tasks, n)
-        value = pfh_of_tasks(tasks, profile, HOUR_MS, assume_full_wcet)
+        value = 0.0
+        for period, wcet, failure_probability in tasks:
+            setup = n * wcet if assume_full_wcet else 0.0
+            rounds = max(_floor((HOUR_MS - setup) / period) + 1, 0)
+            value += rounds * failure_probability**n
         if (value < pfh_ceiling) if strict else (value <= pfh_ceiling):
             return n
     return None

@@ -42,6 +42,10 @@ class TestGenerateTaskset:
             ts = generate_taskset(0.8, SPEC, seed)
             assert ts.utilization() == pytest.approx(0.8, abs=1e-9)
 
+    def test_hits_a_fig3_grid_point(self):
+        ts = generate_taskset(0.9, SPEC, 7)
+        assert ts.utilization() == pytest.approx(0.9, abs=1e-9)
+
     def test_task_parameters_in_ranges(self):
         ts = generate_taskset(0.9, SPEC, 42)
         for task in ts:

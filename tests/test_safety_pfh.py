@@ -83,6 +83,11 @@ class TestPfhPlain:
         assert value == pytest.approx(2.04e-5, rel=1e-6)
         assert value > 1e-7
 
+    def test_fms_hi_meets_level_b_at_three_executions(self, fms):
+        """Section 5.1: the FMS's HI tasks meet level B's 1e-7 at N = (3, 2)."""
+        profile = ReexecutionProfile.uniform(fms, 3, 2)
+        assert 0.0 < pfh_plain(fms, CriticalityRole.HI, profile) < 1e-7
+
     def test_lo_level_independent_of_hi_profile(self, example31):
         a = ReexecutionProfile.uniform(example31, 3, 2)
         b = ReexecutionProfile.uniform(example31, 5, 2)
@@ -161,13 +166,13 @@ class TestMinimalUniformReexecution:
         from repro.safety import pfh as pfh_module
 
         def no_sums(*args, **kwargs):
-            raise AssertionError("eq. (2) evaluated (pfh_of_tasks)")
+            raise AssertionError("eq. (2) evaluated (eq. (1)'s floor)")
 
         if scalar:
             monkeypatch.setenv(kernels.NO_NUMPY_ENV, "1")
         else:
             monkeypatch.delenv(kernels.NO_NUMPY_ENV, raising=False)
-        monkeypatch.setattr(pfh_module, "pfh_of_tasks", no_sums)
+        monkeypatch.setattr(pfh_module, "_floor", no_sums)
         assert minimal_uniform_reexecution(
             example31, CriticalityRole.LO, math.inf, strict=strict
         ) == 1
